@@ -1,17 +1,11 @@
-"""Array-native core benchmarks: CSR-native builds and column-state rounds.
+"""Array-native core benchmark: CSR-native graph builds.
 
-Two gates for the array-native layer (``BENCH_9.json``):
-
-* **build**: generating a graph straight into :class:`GraphArrays`
-  (``as_arrays=True`` — geometric skip-sampling plus one lexsort CSR
-  build) must beat generate-via-networkx-then-convert >= 5x at n = 10^5.
-  The two paths draw different edge sets (documented), so the build gate
-  compares construction cost only and sanity-checks sizes, not identity.
-* **state**: vectorized dense rounds over schema-declared state columns
-  (wholesale column copy on kernel load/flush) must run no slower than
-  the same rounds over dict-backed program state (per-node re-pack loops,
-  the pre-refactor layout, kept reachable via ``column_state(False)``) —
-  after first re-asserting the two layouts are bit-identical.
+One gate for the array-native layer (``BENCH_9.json``): generating a
+graph straight into :class:`GraphArrays` (``as_arrays=True`` — geometric
+skip-sampling plus one lexsort CSR build) must beat
+generate-via-networkx-then-convert >= 5x at n = 10^5. The two paths draw
+different edge sets (documented), so the gate compares construction cost
+only and sanity-checks sizes, not identity.
 
 Best-of-N wall clocks; ``BENCH_QUICK=1`` shrinks the workloads and relaxes
 floors for noisy CI runners, ``BENCH_SNAPSHOT=1`` (re)writes the committed
@@ -26,8 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro import graphs
-from repro.baselines import LubyProgram
-from repro.congest import Network, column_state
 from repro.congest.vectorized import GraphArrays
 
 QUICK = os.environ.get("BENCH_QUICK", "0") not in ("", "0")
@@ -37,9 +29,6 @@ SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_9.json"
 # noise margin at n = 2*10^4).
 BUILD_N = 20_000 if QUICK else 100_000
 MIN_BUILD_SPEEDUP = 2.0 if QUICK else 5.0
-# Column-state rounds must not regress the dict-state kernels they
-# replaced; allow a hair of clock noise in quick mode.
-MIN_STATE_RATIO = 0.9 if QUICK else 1.0
 TIMING_ATTEMPTS = 3
 
 _RESULTS: dict = {}
@@ -94,37 +83,4 @@ def test_csr_native_build_speedup():
         f"CSR-native build only {legacy_s / native_s:.2f}x over the "
         f"networkx path (native {native_s * 1000:.1f}ms vs "
         f"{legacy_s * 1000:.1f}ms at n={BUILD_N})"
-    )
-
-
-def test_column_state_rounds_no_slower_than_dict_state():
-    """Vectorized Luby rounds: schema columns vs dict-backed re-packing."""
-    n = 2_000 if QUICK else 10_000
-    graph = graphs.make_family("gnp_log_degree", n, seed=7)
-
-    def timed(columns):
-        def run():
-            with column_state(columns):
-                network = Network(
-                    graph, {v: LubyProgram() for v in graph.nodes}, seed=7
-                )
-                network.run(engine="vectorized")
-            return network
-
-        return _best_of(run)
-
-    column_s, column_net = timed(True)
-    dict_s, dict_net = timed(False)
-    assert column_net.vector_rounds > 0
-    assert dict_net.vector_rounds > 0
-    assert column_net.outputs("in_mis") == dict_net.outputs("in_mis")
-    assert column_net.metrics() == dict_net.metrics()
-    assert column_net.ledger.snapshot() == dict_net.ledger.snapshot()
-    _RESULTS["arrays_state_column"] = column_s
-    _RESULTS["arrays_state_dict"] = dict_s
-    _RESULTS["arrays_state_ratio"] = dict_s / column_s
-    assert dict_s / column_s >= MIN_STATE_RATIO, (
-        f"column-state rounds regressed: {dict_s / column_s:.2f}x vs the "
-        f"dict-state kernels (column {column_s * 1000:.1f}ms vs dict "
-        f"{dict_s * 1000:.1f}ms)"
     )

@@ -101,13 +101,13 @@ class StaggeredTicker(NodeProgram):
             ctx.halt()
 
 
-def _timed_run(make_network, legacy):
+def _timed_run(make_network, engine):
     """Best-of-N wall clock for one engine path (runs are deterministic)."""
     best = None
     for _ in range(TIMING_ATTEMPTS):
         network = make_network()
         start = time.perf_counter()
-        metrics = network.run(legacy=legacy)
+        metrics = network.run(engine=engine)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -116,8 +116,8 @@ def _timed_run(make_network, legacy):
 
 def _compare_paths(name, make_network, output_key):
     """Time fast vs legacy; record both; assert bit-identical results."""
-    fast_s, fast_metrics, fast_net = _timed_run(make_network, legacy=False)
-    legacy_s, legacy_metrics, legacy_net = _timed_run(make_network, legacy=True)
+    fast_s, fast_metrics, fast_net = _timed_run(make_network, engine="fast")
+    legacy_s, legacy_metrics, legacy_net = _timed_run(make_network, engine="legacy")
     assert fast_metrics == legacy_metrics
     assert fast_net.outputs(output_key) == legacy_net.outputs(output_key)
     assert fast_net.ledger.snapshot() == legacy_net.ledger.snapshot()

@@ -35,7 +35,6 @@ from ..congest.vectorized import VectorRound
 from ..result import MISResult
 
 _MARK = 0
-_JOIN = 1
 
 ACTIVE = 0
 JOINED = 1
@@ -209,25 +208,11 @@ class _GhaffariVectorRound(VectorRound):
         self.iterations = first.iterations
         self.alive = self.rank_mask(network._always_on)
         columns = self.state_columns
-        if columns is not None:
-            self.status = columns["status"].copy()
-            self.desire = columns["desire"].copy()
-            self.marked = columns["marked"].copy()
-            self.join_round = columns["join_round"].copy()
-            self.saw_marked = columns["saw_marked"].copy()
-        else:
-            self.status = np.zeros((n, executions), dtype=np.int8)
-            self.desire = np.zeros((n, executions), dtype=np.float64)
-            self.marked = np.zeros((n, executions), dtype=bool)
-            self.join_round = np.full((n, executions), -1, dtype=np.int64)
-            self.saw_marked = np.zeros((n, executions), dtype=bool)
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                self.status[i] = program.status
-                self.desire[i] = program.desire
-                self.marked[i] = program.marked
-                self.join_round[i] = program.join_round
-                self.saw_marked[i] = program.saw_marked
+        self.status = columns["status"].copy()
+        self.desire = columns["desire"].copy()
+        self.marked = columns["marked"].copy()
+        self.join_round = columns["join_round"].copy()
+        self.saw_marked = columns["saw_marked"].copy()
         self._payload_bits = (
             np.full(n, 3 * executions, dtype=np.int64) if self.priced else None
         )
@@ -237,29 +222,12 @@ class _GhaffariVectorRound(VectorRound):
         self._alive_neighbors = arrays.neighbor_count(self.alive)
 
     def flush_state(self) -> None:
-        network = self.network
         columns = self.state_columns
-        if columns is not None:
-            columns["status"][:] = self.status
-            columns["desire"][:] = self.desire
-            columns["marked"][:] = self.marked
-            columns["join_round"][:] = self.join_round
-            columns["saw_marked"][:] = self.saw_marked
-            return
-        # ``saw_marked`` only matters when the next scalar round is a JOIN
-        # (it is replaced wholesale at the next MARK receive); halted nodes
-        # keep their stale rows, exactly like the scalar path.
-        rebuild_inbox = (network.round_index + 1) % 2 == _JOIN
-        for i, node in enumerate(self.arrays.nodes):
-            program = network.programs[node]
-            program.status = [int(s) for s in self.status[i]]
-            program.desire = [float(d) for d in self.desire[i]]
-            program.marked = [bool(m) for m in self.marked[i]]
-            program.join_round = [int(r) for r in self.join_round[i]]
-            if rebuild_inbox and self.alive[i]:
-                program.saw_marked = [
-                    bool(b) for b in self.saw_marked[i]
-                ]
+        columns["status"][:] = self.status
+        columns["desire"][:] = self.desire
+        columns["marked"][:] = self.marked
+        columns["join_round"][:] = self.join_round
+        columns["saw_marked"][:] = self.saw_marked
 
     # ------------------------------------------------------------------
     def step_round(self) -> None:

@@ -186,28 +186,17 @@ class _LubyVectorRound(VectorRound):
     def load(self) -> None:
         arrays = self.arrays
         network = self.network
-        n = arrays.n
         # Vector rounds only run while the whole population is always-on
         # (the engine gates on an empty wake calendar), so membership
         # there — not just "not halted" — is what "awake every round"
         # means.
         self.alive = self.rank_mask(network._always_on)
+        # Network-owned columns share the kernel's rank order; a copy
+        # decouples the round loop from descriptor reads until flush.
         columns = self.state_columns
-        if columns is not None:
-            # Network-owned columns share the kernel's rank order; a copy
-            # decouples the round loop from descriptor reads until flush.
-            self.state = columns["state"].copy()
-            self.marked = columns["marked"].copy()
-            self.pending = columns["pending_retirement"].copy()
-        else:
-            self.state = np.zeros(n, dtype=np.int8)
-            self.marked = np.zeros(n, dtype=bool)
-            self.pending = np.zeros(n, dtype=bool)
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                self.state[i] = program.state
-                self.marked[i] = program.marked
-                self.pending[i] = program.pending_retirement
+        self.state = columns["state"].copy()
+        self.marked = columns["marked"].copy()
+        self.pending = columns["pending_retirement"].copy()
         if self.faults is None:
             # Live-neighbor count, maintained *incrementally* from here on:
             # RESOLVE subtracts the winners' contributions and RETIRE the
@@ -268,16 +257,9 @@ class _LubyVectorRound(VectorRound):
             edge_live = self.edge_live
             mark_keep = self._mark_keep
         columns = self.state_columns
-        if columns is not None:
-            columns["state"][:] = self.state
-            columns["marked"][:] = self.marked
-            columns["pending_retirement"][:] = self.pending
-        else:
-            for i, node in enumerate(nodes):
-                program = network.programs[node]
-                program.state = int(self.state[i])
-                program.marked = bool(self.marked[i])
-                program.pending_retirement = bool(self.pending[i])
+        columns["state"][:] = self.state
+        columns["marked"][:] = self.marked
+        columns["pending_retirement"][:] = self.pending
         # Reconstruct MARK-receive inboxes only when the next round is a
         # RESOLVE (the one point where the scalar path reads them), and
         # belief sets only for still-live rows — a finished run flushes in

@@ -137,22 +137,11 @@ class _RegularizedLubyVectorRound(VectorRound):
     def load(self) -> None:
         arrays = self.arrays
         network = self.network
-        n = arrays.n
         self.alive = self.rank_mask(network._always_on)
         columns = self.state_columns
-        if columns is not None:
-            self.marked = columns["marked"].copy()
-            self.saw_marked = columns["saw_marked_neighbor"].copy()
-            self.joined = columns["joined"].copy()
-        else:
-            self.marked = np.zeros(n, dtype=bool)
-            self.saw_marked = np.zeros(n, dtype=bool)
-            self.joined = np.zeros(n, dtype=bool)
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                self.marked[i] = program.marked
-                self.saw_marked[i] = program.saw_marked_neighbor
-                self.joined[i] = program.joined
+        self.marked = columns["marked"].copy()
+        self.saw_marked = columns["saw_marked_neighbor"].copy()
+        self.joined = columns["joined"].copy()
         self._template = next(iter(network.programs.values()))
         # Valid at any engagement boundary: nobody halts between a MARK
         # and its JOIN, so live-neighbor counts are cycle-stable.  From
@@ -163,17 +152,9 @@ class _RegularizedLubyVectorRound(VectorRound):
 
     def flush_state(self) -> None:
         columns = self.state_columns
-        if columns is not None:
-            columns["marked"][:] = self.marked
-            columns["saw_marked_neighbor"][:] = self.saw_marked
-            columns["joined"][:] = self.joined
-            return
-        programs = self.network.programs
-        for i, node in enumerate(self.arrays.nodes):
-            program = programs[node]
-            program.marked = bool(self.marked[i])
-            program.saw_marked_neighbor = bool(self.saw_marked[i])
-            program.joined = bool(self.joined[i])
+        columns["marked"][:] = self.marked
+        columns["saw_marked_neighbor"][:] = self.saw_marked
+        columns["joined"][:] = self.joined
 
     def step_round(self) -> None:
         algo_round, sub = divmod(self.network.round_index, 2)

@@ -41,19 +41,12 @@ from .network import (
     engine_mode,
     fault_scope,
     get_engine_mode,
-    legacy_engine,
     run_uniform_program,
     scoped_fault_plan,
     set_engine_mode,
-    set_legacy_mode,
 )
 from .program import Context, NodeProgram
-from .state import (
-    StateField,
-    column_state,
-    get_column_state,
-    set_column_state,
-)
+from .state import StateField
 from .trace import NetworkTrace, RoundRecord
 from .vectorized import (
     DrawStreams,
@@ -74,14 +67,11 @@ __all__ = [
     "VectorRound",
     "VectorizationError",
     "StateField",
-    "column_state",
     "engine_mode",
-    "get_column_state",
     "get_engine_mode",
     "graph_arrays",
     "invalidate_graph_arrays",
     "reset_vector_stats",
-    "set_column_state",
     "set_engine_mode",
     "vector_stats",
     "COLLISION",
@@ -107,11 +97,9 @@ __all__ = [
     "channel_scope",
     "default_bit_budget",
     "fault_scope",
-    "legacy_engine",
     "make_channel",
     "scoped_fault_plan",
     "payload_bits",
     "payload_bits_cached",
     "run_uniform_program",
-    "set_legacy_mode",
 ]

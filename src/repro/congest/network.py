@@ -37,11 +37,16 @@ rounds:
   capability (``NodeProgram.vector_round``) execute whole-network numpy
   rounds (see ``repro.congest.vectorized``) instead of per-node python.
 
-``Network.run(legacy=True)`` (or the :func:`legacy_engine` switch) restores
+``Network.run(engine="legacy")`` (or the :func:`engine_mode` scope) restores
 the naive one-``step``-per-round loop; :func:`engine_mode` selects between
 ``auto``/``fast``/``legacy``/``vectorized`` globally. All paths are
 bit-identical in outputs, metrics, and ledger state (see
 ``tests/test_engine_equivalence.py``).
+
+Programs that declare a ``state_schema()`` keep their per-node state in
+flat network-owned columns (see :mod:`repro.congest.state`); the
+vectorized kernels load and flush those columns directly, so a network
+without them never vectorizes.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import NO_BROADCAST, Context, NodeProgram
-from .state import allocate_columns, bind_state, get_column_state
+from .state import allocate_columns, bind_state
 from .vectorized import GraphArrays
 
 #: Engine paths selectable per run or globally (see :func:`engine_mode`):
@@ -114,30 +119,6 @@ def engine_mode(mode: str):
         yield
     finally:
         _ENGINE_MODE = previous
-
-
-# What set_legacy_mode(False) should restore: the mode that was active
-# before the boolean toggle forced "legacy" (the toggle predates the 4-way
-# engine modes and must not stomp an enclosing "fast"/"vectorized" scope).
-_PRE_LEGACY_MODE = "auto"
-
-
-def set_legacy_mode(enabled: bool) -> None:
-    """Globally force (or stop forcing) the naive per-round run loop."""
-    global _PRE_LEGACY_MODE
-    if enabled:
-        if _ENGINE_MODE != "legacy":
-            _PRE_LEGACY_MODE = _ENGINE_MODE
-        set_engine_mode("legacy")
-    elif _ENGINE_MODE == "legacy":
-        set_engine_mode(_PRE_LEGACY_MODE)
-
-
-@contextmanager
-def legacy_engine():
-    """Context manager: run every ``Network.run`` inside with ``legacy=True``."""
-    with engine_mode("legacy"):
-        yield
 
 
 # Ambient node-fault plans, mirroring ``channel_scope``: multi-phase
@@ -219,7 +200,6 @@ class Network:
         channel: ChannelSpec = None,
         instrument=None,
         faults=None,
-        column_state: Optional[bool] = None,
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty graph")
@@ -258,13 +238,10 @@ class Network:
             self.contexts[node] = Context(self, node, self.n, rng)
 
         #: Flat per-field state columns when the programs declare a schema
-        #: (see :mod:`repro.congest.state`), else None (dict-backed state).
+        #: (see :mod:`repro.congest.state`), else None (plain instance
+        #: attributes; such a network never vectorizes).
         self.state_columns = None
-        self._column_state = (
-            get_column_state() if column_state is None else bool(column_state)
-        )
-        if self._column_state:
-            self._allocate_state_columns()
+        self._allocate_state_columns()
 
         # Wake bookkeeping: nodes in always-awake mode run every round;
         # scheduled nodes run only at rounds present in ``_wake_calendar``.
@@ -306,11 +283,10 @@ class Network:
     def _allocate_state_columns(self) -> None:
         """Allocate + bind schema-declared state columns, when possible.
 
-        Column state engages only for a homogeneous program population
-        with a non-empty schema whose string widths agree across nodes;
-        anything else silently keeps the dict-backed layout (both layouts
-        are bit-identical, so this is a representation choice, not a
-        semantic one).
+        Columns bind only for a homogeneous program population with a
+        non-empty schema whose string widths agree across nodes; any other
+        population keeps plain instance attributes (the descriptors'
+        unbound path) and runs on the scalar loops.
         """
         programs = self.programs
         template = next(iter(programs.values()))
@@ -581,9 +557,11 @@ class Network:
 
         Eligibility, checked once per network: every node runs the *same*
         program class, that class declares the capability (overrides
-        ``NodeProgram.vector_round`` with a factory), and the channel is a
-        plain point-to-point model (CONGEST or LOCAL — radio delivery is
-        vectorized inside :class:`BroadcastChannel` instead).  In auto mode
+        ``NodeProgram.vector_round`` with a factory), the network bound the
+        programs' state to schema columns (kernels load and flush only
+        those), and the channel is a plain point-to-point model (CONGEST
+        or LOCAL — radio delivery is vectorized inside
+        :class:`BroadcastChannel` instead).  In auto mode
         small graphs additionally fall back to the cached loop
         (:data:`VECTOR_AUTO_MIN_NODES`); ``force`` bypasses that floor.
         """
@@ -614,6 +592,12 @@ class Network:
                     )
                 elif any(type(p) is not cls for p in programs.values()):
                     reason = "nodes run heterogeneous program classes"
+                elif self.state_columns is None:
+                    reason = (
+                        f"{cls.__name__} has no state columns: its "
+                        f"state_schema() is empty or its widths differ "
+                        f"across nodes"
+                    )
                 else:
                     # A factory may decline (return None) after inspecting
                     # the actual instances, e.g. heterogeneous schedule
@@ -644,13 +628,9 @@ class Network:
             )
         return runner
 
-    def _resolve_engine(
-        self, legacy: Optional[bool], engine: Optional[str]
-    ) -> str:
+    def _resolve_engine(self, engine: Optional[str]) -> str:
         if engine is not None:
             return _check_engine_mode(engine)
-        if legacy is not None:
-            return "legacy" if legacy else "fast"
         return _ENGINE_MODE
 
     def _try_vector_step(self, runner) -> bool:
@@ -699,7 +679,6 @@ class Network:
         self,
         max_rounds: int = 1_000_000,
         *,
-        legacy: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> RunMetrics:
         """Run until no node will ever wake again (or ``max_rounds``).
@@ -709,15 +688,15 @@ class Network:
 
         * the default fast path jumps over idle stretches (rounds where no
           node is awake) in O(1) per stretch and runs a cached round loop;
-        * ``legacy=True`` (or the module-level :func:`legacy_engine`
-          switch) steps every round the naive way;
+        * ``engine="legacy"`` (or the module-level :func:`engine_mode`
+          scope) steps every round the naive way;
         * dense always-on stretches of capability-declaring programs run
           through the vectorized round path (``engine="vectorized"`` to
           require it, ``engine="fast"`` to forbid it; default ``"auto"``).
         """
         if not self._started:
             self.start()
-        mode = self._resolve_engine(legacy, engine)
+        mode = self._resolve_engine(engine)
         use_legacy = mode == "legacy"
         runner = None
         if mode in ("auto", "vectorized"):
@@ -759,13 +738,12 @@ class Network:
         self,
         rounds: int,
         *,
-        legacy: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> RunMetrics:
         """Run exactly ``rounds`` rounds (idle rounds still advance time)."""
         if not self._started:
             self.start()
-        mode = self._resolve_engine(legacy, engine)
+        mode = self._resolve_engine(engine)
         use_legacy = mode == "legacy"
         runner = None
         if mode in ("auto", "vectorized"):

@@ -1,18 +1,18 @@
 """Schema-declared node state: flat network-owned columns with row views.
 
-Historically every :class:`~repro.congest.program.NodeProgram` instance
-kept its state in its own ``__dict__`` and the vectorized engine re-packed
-those dicts into ad-hoc numpy columns at every engagement.  This module
-inverts the ownership: a program class *declares* its per-node state as a
-typed schema (:meth:`NodeProgram.state_schema` returning
-:class:`StateField` triples), the :class:`~repro.congest.network.Network`
-allocates one flat column per field at bind time, and
+A program class *declares* its per-node state as a typed schema
+(:meth:`NodeProgram.state_schema` returning :class:`StateField` triples);
+the :class:`~repro.congest.network.Network` allocates one flat column per
+field at bind time, and
 
 * scalar program bodies keep reading/writing ``self.<field>`` unchanged —
   a data descriptor transparently proxies the attribute into
   ``columns[name][rank]`` (the node's *row view*);
-* vector kernels skip the per-node python load/flush loops entirely and
-  copy whole columns.
+* vector kernels load and flush whole columns with array copies.
+
+Columns are the only layout a schema-declaring population gets: every
+vectorized kernel requires them, and the engine declines vectorization
+for a network without them (``Network.state_columns is None``).
 
 Width fields (``StateField(width=...)``) allocate 2-D ``(n, width)``
 columns; a node's row view is then a mutable length-``width`` numpy row,
@@ -27,30 +27,21 @@ descriptors stage assignments in the instance ``__dict__`` exactly as
 plain attributes would; :func:`bind_state` then pops the staged values
 into the node's column rows.  Unbinding (when a program instance is moved
 to another network) materializes the rows back into the ``__dict__`` so
-no state is lost.
-
-The dict-backed layout remains fully supported: :func:`set_column_state`
-/ :func:`column_state` turn column allocation off globally or for a
-scope, and a :class:`Network` built with ``column_state=False`` keeps
-every program on plain instance attributes.  Both layouts are
-bit-identical in outputs, metrics, ledgers, and RNG draw order
-(``tests/test_engine_equivalence.py`` proves it for every registered
-algorithm on all three engine paths).
+no state is lost.  The unbound path also serves populations the network
+cannot bind to one schema (mixed program classes, or string widths that
+differ across nodes): those programs keep plain instance attributes and
+run on the scalar path.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "StateField",
-    "set_column_state",
-    "get_column_state",
-    "column_state",
     "allocate_columns",
     "bind_state",
     "unbind_state",
@@ -73,34 +64,6 @@ class StateField:
     dtype: Any
     default: Any = 0
     width: Optional[Union[int, str]] = None
-
-
-# Module-level default, mirroring the engine-mode switch: column state is
-# the production layout; the dict layout stays reachable for equivalence
-# testing and for exotic per-node state no schema covers.
-_COLUMN_STATE = True
-
-
-def set_column_state(enabled: bool) -> None:
-    """Globally enable/disable column-backed state for new Networks."""
-    global _COLUMN_STATE
-    _COLUMN_STATE = bool(enabled)
-
-
-def get_column_state() -> bool:
-    return _COLUMN_STATE
-
-
-@contextmanager
-def column_state(enabled: bool) -> Iterator[None]:
-    """Scope the column-state default (dict layout under ``False``)."""
-    global _COLUMN_STATE
-    previous = _COLUMN_STATE
-    _COLUMN_STATE = bool(enabled)
-    try:
-        yield
-    finally:
-        _COLUMN_STATE = previous
 
 
 class _ScalarField:
@@ -178,7 +141,7 @@ def install_descriptors(cls: type) -> None:
 
     Called from ``NodeProgram.__init_subclass__`` so declaring a schema is
     all a program author does — attribute syntax in the program body stays
-    untouched in both layouts.
+    untouched whether the instance is bound or not.
     """
     for field in cls.state_schema():
         if not isinstance(field, StateField):

@@ -361,12 +361,11 @@ class DrawStreams:
     touches ``ctx.rng`` again: it rewinds each generator by the number of
     unconsumed prefetched draws (each float64 consumes exactly one PCG64
     step, so ``bit_generator.advance(-remaining)`` lands the stream where
-    a purely scalar execution would have left it; bit generators without
-    ``advance`` fall back to a state snapshot taken at refill time).
+    a purely scalar execution would have left it).  Every per-node
+    generator is ``np.random.default_rng`` (PCG64), which has ``advance``.
     """
 
-    __slots__ = ("_rngs", "_buffer", "_cursor", "_block", "_snapshots",
-                 "profiler")
+    __slots__ = ("_rngs", "_buffer", "_cursor", "_block", "profiler")
 
     #: Past this many nodes the prefetch block shrinks: a (n, 32) float64
     #: buffer is 256MB at n=10^6, and wide blocks only amortize python
@@ -382,10 +381,8 @@ class DrawStreams:
             block = 32 if n <= self.WIDE_BLOCK_MAX_NODES else 8
         self._rngs = rngs
         self._block = block
-        n = len(rngs)
         self._buffer = np.zeros((n, block), dtype=np.float64)
         self._cursor = np.full(n, block, dtype=np.int64)
-        self._snapshots: List[Optional[dict]] = [None] * n
         #: Optional :class:`repro.obs.Profiler`; refills then appear as
         #: ``rng_prefetch`` sections nested in the enclosing vector round.
         self.profiler = None
@@ -400,12 +397,8 @@ class DrawStreams:
             if prof is not None:
                 prof.begin("rng_prefetch")
             rngs = self._rngs
-            snapshots = self._snapshots
             for i in exhausted:
-                rng = rngs[i]
-                if not hasattr(rng.bit_generator, "advance"):
-                    snapshots[i] = rng.bit_generator.state
-                buffer[i] = rng.random(self._block)
+                buffer[i] = rngs[i].random(self._block)
             cursor[exhausted] = 0
             if prof is not None:
                 prof.end()
@@ -418,28 +411,19 @@ class DrawStreams:
         block = self._block
         cursor = self._cursor
         rngs = self._rngs
-        snapshots = self._snapshots
         for i in np.nonzero(cursor < block)[0]:
-            rng = rngs[i]
-            bit_generator = rng.bit_generator
-            if snapshots[i] is None:
-                bit_generator.advance(-(block - int(cursor[i])))
-            else:
-                bit_generator.state = snapshots[i]
-                consumed = int(cursor[i])
-                if consumed:
-                    rng.random(consumed)
-                snapshots[i] = None
-        self._cursor[:] = block
+            rngs[i].bit_generator.advance(-(block - int(cursor[i])))
+        cursor[:] = block
 
 
 class VectorRound:
     """Base class for one algorithm's vectorized whole-network round.
 
-    Subclasses implement :meth:`load` (program instances -> arrays),
+    Subclasses implement :meth:`load` (state columns -> kernel arrays),
     :meth:`step_round` (one synchronous round over arrays, updating the
     network's message counters identically to the scalar delivery), and
-    :meth:`flush_state` (arrays -> program instances, so scalar rounds can
+    :meth:`flush_state` (kernel arrays -> state columns, plus any
+    non-column instance state the scalar hooks read, so scalar rounds can
     resume bit-identically).
 
     The base class owns the shared plumbing: lazily-accumulated energy
@@ -463,9 +447,9 @@ class VectorRound:
         #: engage a runner whose faults it would silently ignore.
         self.faults = network.channel.vector_faults(self.arrays)
         #: The network's schema-declared state columns (see
-        #: ``repro.congest.state``), or None in the dict-backed layout.
-        #: Column-aware kernels load/flush these with whole-array copies
-        #: instead of per-node python loops.
+        #: ``repro.congest.state``). Never None here: the engine declines
+        #: vectorization for a network without columns, so kernels
+        #: load/flush them with whole-array copies.
         self.state_columns = network.state_columns
         self.loaded = False
         self._pending_energy = np.zeros(self.arrays.n, dtype=np.int64)

@@ -189,43 +189,20 @@ class _Phase1Alg1VectorRound(VectorRound):
         n = arrays.n
         self.marked_round = np.full(n, -1, dtype=np.int64)
         columns = self.state_columns
-        if columns is not None:
-            self.joined = columns["joined"].copy()
-            self.dominated = columns["dominated"].copy()
-            self.saw_marked = columns["saw_marked_neighbor"].copy()
-            for i, node in enumerate(arrays.nodes):
-                marked_round = network.programs[node].marked_round
-                if marked_round is not None:
-                    self.marked_round[i] = marked_round
-        else:
-            self.joined = np.zeros(n, dtype=bool)
-            self.dominated = np.zeros(n, dtype=bool)
-            self.saw_marked = np.zeros(n, dtype=bool)
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                if program.marked_round is not None:
-                    self.marked_round[i] = program.marked_round
-                self.joined[i] = program.joined
-                self.dominated[i] = program.dominated
-                self.saw_marked[i] = program.saw_marked_neighbor
+        self.joined = columns["joined"].copy()
+        self.dominated = columns["dominated"].copy()
+        self.saw_marked = columns["saw_marked_neighbor"].copy()
+        for i, node in enumerate(arrays.nodes):
+            marked_round = network.programs[node].marked_round
+            if marked_round is not None:
+                self.marked_round[i] = marked_round
         self._one_bit = np.ones(n, dtype=np.int64) if self.priced else None
 
     def flush_state(self) -> None:
-        network = self.network
         columns = self.state_columns
-        if columns is not None:
-            columns["joined"][:] = self.joined
-            columns["dominated"][:] = self.dominated
-            columns["saw_marked_neighbor"][:] = self.saw_marked
-            return
-        joined = self.joined
-        dominated = self.dominated
-        saw = self.saw_marked
-        for i, node in enumerate(self.arrays.nodes):
-            program = network.programs[node]
-            program.joined = bool(joined[i])
-            program.dominated = bool(dominated[i])
-            program.saw_marked_neighbor = bool(saw[i])
+        columns["joined"][:] = self.joined
+        columns["dominated"][:] = self.dominated
+        columns["saw_marked_neighbor"][:] = self.saw_marked
 
     # ------------------------------------------------------------------
     def step_round(self) -> None:

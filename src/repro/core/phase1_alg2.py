@@ -332,49 +332,21 @@ class _Phase1Alg2VectorRound(VectorRound):
         self.high_threshold = first.high_threshold
         self.rival_max = np.full(n, -1, dtype=np.int64)
         columns = self.state_columns
-        if columns is not None:
-            self.tag_round = columns["tag_round"].copy()
-            self.premark_round = columns["premark_round"].copy()
-            self.joined = columns["joined"].copy()
-            self.join_round = columns["join_round"].copy()
-            self.dominated = columns["dominated"].copy()
-            self.tagged = columns["tagged_neighbors"].copy()
-            self.marked = columns["marked"].copy()
-            self.estimate = columns["estimate"].copy()
-            self.active_nonspoiled = columns["active_nonspoiled"].copy()
-            self.high = columns["high"].copy()
-            self.saw_high = columns["saw_high_neighbor"].copy()
-            for i, node in enumerate(arrays.nodes):
-                competitors = network.programs[node].competitors
-                if competitors:
-                    self.rival_max[i] = max(competitors)
-        else:
-            self.tag_round = np.full(n, -1, dtype=np.int64)
-            self.premark_round = np.full(n, -1, dtype=np.int64)
-            self.joined = np.zeros(n, dtype=bool)
-            self.join_round = np.full(n, -1, dtype=np.int64)
-            self.dominated = np.zeros(n, dtype=bool)
-            self.tagged = np.zeros(n, dtype=np.int64)
-            self.marked = np.zeros(n, dtype=bool)
-            self.estimate = np.zeros(n, dtype=np.float64)
-            self.active_nonspoiled = np.zeros(n, dtype=np.int64)
-            self.high = np.zeros(n, dtype=bool)
-            self.saw_high = np.zeros(n, dtype=bool)
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                self.tag_round[i] = program.tag_round
-                self.premark_round[i] = program.premark_round
-                self.joined[i] = program.joined
-                self.join_round[i] = program.join_round
-                self.dominated[i] = program.dominated
-                self.tagged[i] = program.tagged_neighbors
-                self.marked[i] = program.marked
-                self.estimate[i] = program.estimate
-                if program.competitors:
-                    self.rival_max[i] = max(program.competitors)
-                self.active_nonspoiled[i] = program.active_nonspoiled
-                self.high[i] = program.high
-                self.saw_high[i] = program.saw_high_neighbor
+        self.tag_round = columns["tag_round"].copy()
+        self.premark_round = columns["premark_round"].copy()
+        self.joined = columns["joined"].copy()
+        self.join_round = columns["join_round"].copy()
+        self.dominated = columns["dominated"].copy()
+        self.tagged = columns["tagged_neighbors"].copy()
+        self.marked = columns["marked"].copy()
+        self.estimate = columns["estimate"].copy()
+        self.active_nonspoiled = columns["active_nonspoiled"].copy()
+        self.high = columns["high"].copy()
+        self.saw_high = columns["saw_high_neighbor"].copy()
+        for i, node in enumerate(arrays.nodes):
+            competitors = network.programs[node].competitors
+            if competitors:
+                self.rival_max[i] = max(competitors)
         self._one_bit = np.ones(n, dtype=np.int64) if self.priced else None
 
     def flush_state(self) -> None:
@@ -390,30 +362,17 @@ class _Phase1Alg2VectorRound(VectorRound):
         )
         indptr, indices = arrays.indptr, arrays.indices
         columns = self.state_columns
-        if columns is not None:
-            columns["tag_round"][:] = self.tag_round
-            columns["premark_round"][:] = self.premark_round
-            columns["joined"][:] = self.joined
-            columns["join_round"][:] = self.join_round
-            columns["dominated"][:] = self.dominated
-            columns["tagged_neighbors"][:] = self.tagged
-            columns["marked"][:] = self.marked
-            columns["estimate"][:] = self.estimate
-            columns["active_nonspoiled"][:] = self.active_nonspoiled
-            columns["high"][:] = self.high
-            columns["saw_high_neighbor"][:] = self.saw_high
-        else:
-            for i, node in enumerate(arrays.nodes):
-                program = network.programs[node]
-                program.joined = bool(self.joined[i])
-                program.join_round = int(self.join_round[i])
-                program.dominated = bool(self.dominated[i])
-                program.tagged_neighbors = int(self.tagged[i])
-                program.marked = bool(self.marked[i])
-                program.estimate = float(self.estimate[i])
-                program.active_nonspoiled = int(self.active_nonspoiled[i])
-                program.high = bool(self.high[i])
-                program.saw_high_neighbor = bool(self.saw_high[i])
+        columns["tag_round"][:] = self.tag_round
+        columns["premark_round"][:] = self.premark_round
+        columns["joined"][:] = self.joined
+        columns["join_round"][:] = self.join_round
+        columns["dominated"][:] = self.dominated
+        columns["tagged_neighbors"][:] = self.tagged
+        columns["marked"][:] = self.marked
+        columns["estimate"][:] = self.estimate
+        columns["active_nonspoiled"][:] = self.active_nonspoiled
+        columns["high"][:] = self.high
+        columns["saw_high_neighbor"][:] = self.saw_high
         if rebuild_a is not None:
             duelists = np.nonzero(
                 self.marked & (self.premark_round == rebuild_a)

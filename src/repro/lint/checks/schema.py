@@ -1,12 +1,12 @@
 """RL1xx — schema-contract checks for ``NodeProgram`` state.
 
-The array-native core (PR 9) moved per-node state into network-owned
-typed columns declared by ``state_schema()``; attributes staged in
-``__init__`` keep living in the instance ``__dict__``.  Any *other*
-``self.<attr>`` a hook touches silently bypasses both layouts: it is
-invisible to vector kernels, lost on ``bind_state``/``unbind_state``
-migration, and splits behavior between the column and dict layouts.
-These checks pin the contract at the AST level.
+Per-node state lives in network-owned typed columns declared by
+``state_schema()``; attributes staged in ``__init__`` keep living in the
+instance ``__dict__``.  Any *other* ``self.<attr>`` a hook touches
+silently bypasses the columns: it is invisible to vector kernels, lost
+on ``bind_state``/``unbind_state`` migration, and splits behavior between
+the scalar and vectorized engine paths.  These checks pin the contract
+at the AST level.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class UndeclaredStateCheck(Check):
 An attribute first assigned inside on_start/on_round/on_receive (or a
 helper they call) lives only in that instance's __dict__: the network's
 column allocator never sees it, vector kernels cannot load or flush it,
-and bind_state/unbind_state migration drops it. The two state layouts
-({column, dict}) then diverge exactly where the equivalence suite cannot
-look. Declare the field in state_schema(), stage it in __init__, or —
+and bind_state/unbind_state migration drops it. The scalar and
+vectorized engine paths then diverge exactly where the equivalence suite
+cannot look. Declare the field in state_schema(), stage it in __init__, or —
 for genuinely derived scratch values — keep it a local variable.
 """
     bad_example = """

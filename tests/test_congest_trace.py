@@ -164,15 +164,15 @@ class TestIdleSpanRoundTrip:
                 if ctx.round >= 33:
                     ctx.halt()
 
-        def run(legacy):
+        def run(engine):
             graph = graphs.path(4)
             network = Network(
                 graph, {v: Gappy() for v in graph.nodes}, trace=True
             )
-            network.run(legacy=legacy)
+            network.run(engine=engine)
             return network.trace
 
-        fast, legacy = run(False), run(True)
+        fast, legacy = run("fast"), run("legacy")
         assert fast.idle_spans and not legacy.idle_spans  # genuinely compact
         assert fast.rounds == legacy.rounds
         assert fast.awake_counts() == legacy.awake_counts()
@@ -213,18 +213,18 @@ class TestStaleInboxViewsAcrossFastForward:
                     self.error = error
                 ctx.halt()
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_view_from_before_idle_stretch_raises(self, legacy):
+    @pytest.mark.parametrize("engine", ["fast", "legacy"])
+    def test_view_from_before_idle_stretch_raises(self, engine):
         graph = nx.path_graph(2)
         programs = {v: self._Stasher() for v in graph.nodes}
         network = Network(graph, programs)
-        network.run(legacy=legacy)
+        network.run(engine=engine)
         assert network.metrics().rounds == 41
         for node, program in programs.items():
             assert program.stashed is not None, node
             assert isinstance(program.error, ChannelError), (
                 f"node {node}: stale inbox view survived the idle "
-                f"fast-forward (legacy={legacy})"
+                f"fast-forward (engine={engine})"
             )
 
     def test_view_does_not_survive_channel_rebind(self):

@@ -1,14 +1,22 @@
-"""Fast path ⇔ legacy loop ⇔ channel-layer equivalence regression.
+"""Fast path ⇔ legacy loop ⇔ vectorized ⇔ channel-layer equivalence.
 
 The engine's idle-round fast-forward and cached round loop are pure
 optimizations: for every algorithm and workload, outputs, metrics, and
 ledger state must be *bit-identical* to the naive one-step-per-round loop
-(``Network.run(legacy=True)`` / :func:`repro.congest.legacy_engine`). This
+(``Network.run(engine="legacy")`` / ``engine_mode("legacy")``). This
 suite locks that in for every registered algorithm on several graph
 families, and for hand-built schedules that exercise the tricky corners
 (idle gaps, mid-run halts, re-scheduling, truncated ``run_rounds``).
 
-The channel layer adds a second axis: ``CongestChannel(batched=True)``
+The vectorized dense-round path is the third engine axis: kernels load and
+flush the network's schema-declared state columns, so the three-way
+{fast, legacy, vectorized} matrix, the mid-cycle truncation tests, the
+column flush tests (``TestStateColumns``), and the schedule-aware kernel
+tests prove that a kernel engagement leaves exactly the state a scalar
+run would have. Programs without state columns must
+decline vectorization with a stated reason.
+
+The channel layer adds another axis: ``CongestChannel(batched=True)``
 (flat per-edge buffers, lazy inbox views) must be bit-identical to
 ``CongestChannel(batched=False)`` — the pre-refactor per-``Message``
 delivery loop kept verbatim as the reference semantics — on *both* engine
@@ -17,6 +25,7 @@ the batched hot path preserves the seed semantics exactly.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro import graphs
@@ -27,13 +36,11 @@ from repro.congest import (
     NodeProgram,
     VectorizationError,
     channel_scope,
-    column_state,
     engine_mode,
-    legacy_engine,
     reset_vector_stats,
+    set_engine_mode,
     vector_stats,
 )
-from repro.congest.network import set_legacy_mode
 from repro.harness import (
     ALGORITHMS,
     VECTOR_CAPABLE_ALGORITHMS,
@@ -65,7 +72,7 @@ def test_algorithms_identical_across_engine_paths(algorithm, family):
 
     fast_ledger = EnergyLedger(graph.nodes)
     fast = run_algorithm(algorithm, graph, seed=5, ledger=fast_ledger)
-    with legacy_engine():
+    with engine_mode("legacy"):
         legacy_ledger = EnergyLedger(graph.nodes)
         legacy = run_algorithm(algorithm, graph, seed=5, ledger=legacy_ledger)
 
@@ -94,7 +101,7 @@ def test_batched_channel_identical_to_per_message_reference(algorithm, family):
             ledger = EnergyLedger(graph.nodes)
             with channel_scope(channel):
                 if use_legacy:
-                    with legacy_engine():
+                    with engine_mode("legacy"):
                         result = run_algorithm(
                             algorithm, graph, seed=5, ledger=ledger
                         )
@@ -203,106 +210,148 @@ def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
         assert ledger_snapshot == reference_ledger, mode
 
 
-class TestColumnStateEquivalence:
-    """Dict-backed legacy state ⇔ schema-declared state columns.
+def _kernel_programs(graph):
+    """One homogeneous program population per kernel-bearing class."""
+    from repro.baselines import RegularizedLubyProgram
+    from repro.baselines.ghaffari import GhaffariProgram
+    from repro.core.config import DEFAULT_CONFIG
+    from repro.core.phase1_alg1 import Phase1Alg1Program
+    from repro.core.phase1_alg2 import Phase1Alg2Program
+    from repro.graphs.properties import max_degree
 
-    Programs that declare a ``state_schema()`` normally live in flat numpy
-    columns owned by the network (scalar hooks see per-node row views).
-    ``column_state(False)`` disables the allocation so every program falls
-    back to plain instance attributes — the pre-refactor representation.
-    The two representations must be bit-identical on every engine path:
-    same outputs, metrics, per-node ledgers, and RNG draw order.
+    delta = max(2, max_degree(graph))
+    return {
+        "LubyProgram": LubyProgram,
+        "RegularizedLubyProgram": lambda: RegularizedLubyProgram(4, 3, delta),
+        "GhaffariProgram": lambda: GhaffariProgram(
+            iterations=10, executions=3
+        ),
+        "Phase1Alg1Program": lambda: Phase1Alg1Program(4, 8, delta, 10.0),
+        "Phase1Alg2Program": lambda: Phase1Alg2Program(
+            delta, 6, DEFAULT_CONFIG
+        ),
+    }
+
+
+KERNEL_PROGRAMS = sorted(_kernel_programs(nx.path_graph(3)))
+
+
+class TestStateColumns:
+    """Schema columns are the one node-state layout kernels work on.
+
+    Every kernel-bearing program class declares a non-empty schema and a
+    homogeneous population of it binds to network-owned columns. A kernel
+    flush at any round leaves the columns a scalar run would have, on every
+    row a scalar hook can still read, so scalar rounds resume from them.
     """
 
-    @staticmethod
-    def _run(algorithm, graph, mode, columns):
-        ledger = EnergyLedger(graph.nodes)
-        with column_state(columns):
-            with engine_mode(mode):
-                result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
-        return result, ledger.snapshot()
+    def test_kernel_bearing_classes_are_enumerated(self):
+        """The parametrized list below covers every vector_round override
+        shipped in the package."""
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_column_and_dict_state_identical_across_engines(
-        self, algorithm, family
-    ):
-        graph = graphs.make_family(family, N, seed=5)
-        reference, reference_ledger = self._run(
-            algorithm, graph, "legacy", columns=False
-        )
-        for mode in ("fast", "legacy", "auto"):
-            for columns in (False, True):
-                key = (mode, columns)
-                result, ledger_snapshot = self._run(
-                    algorithm, graph, mode, columns
-                )
-                assert result.mis == reference.mis, key
-                assert _metrics_tuple(result.metrics) == \
-                    _metrics_tuple(reference.metrics), key
-                assert result.metrics == reference.metrics, key
-                assert ledger_snapshot == reference_ledger, key
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
 
-    @pytest.mark.parametrize("columns", [False, True])
-    @pytest.mark.parametrize("cut", [1, 3, 6, 9])
-    def test_truncated_vectorized_resume_matches_in_both_representations(
-        self, columns, cut
-    ):
-        """Mid-cycle truncation: the kernel flush must restore *whichever*
-        state representation the programs use, so a scalar continuation
-        matches a pure scalar run under dict state and column state alike."""
+        shipped = {
+            cls.__name__
+            for cls in subclasses(NodeProgram)
+            if "vector_round" in vars(cls)
+            and cls.__module__.startswith("repro.")
+        }
+        assert shipped == set(KERNEL_PROGRAMS)
+
+    @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+    def test_kernel_bearing_population_binds_columns(self, program):
+        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
+        make = _kernel_programs(graph)[program]
+        programs = {v: make() for v in graph.nodes}
+        schema = type(next(iter(programs.values()))).state_schema()
+        assert schema, program
+        network = Network(graph, programs, seed=11)
+        columns = network.state_columns
+        assert columns is not None, program
+        assert set(columns) == {field.name for field in schema}
+        for name, column in columns.items():
+            assert column.shape[0] == graph.number_of_nodes(), name
+        # Scalar hooks read and write through row views of the columns.
+        node = min(graph.nodes)
+        rank = sorted(graph.nodes).index(node)
+        for field in schema:
+            column = columns[field.name]
+            value = getattr(programs[node], field.name)
+            if field.width is None:
+                assert value == column[rank].item(), field.name
+            else:
+                assert (value == column[rank]).all(), field.name
+        first = schema[0]
+        if first.width is None:
+            flipped = not bool(columns[first.name][rank])
+            setattr(programs[node], first.name, flipped)
+            assert bool(columns[first.name][rank]) == flipped
+        # Vectorized rounds engage on the bound columns.
+        network.run_rounds(3, engine="vectorized")
+        assert network.vector_rounds > 0, program
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+    def test_flush_leaves_scalar_state_on_live_rows(self, program, cut):
+        """After ``cut`` kernel rounds, every row a scalar hook can still
+        read (nodes not yet halted) holds bit for bit what ``cut`` scalar
+        rounds leave. Halted rows are never read again, and kernels may
+        leave per-round scratch flags there that a scalar run keeps."""
+        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
+        make = _kernel_programs(graph)[program]
+
+        def fresh():
+            return Network(
+                graph, {v: make() for v in graph.nodes}, seed=11
+            )
+
+        reference = fresh()
+        reference.run_rounds(cut, engine="legacy")
+        flushed = fresh()
+        flushed.run_rounds(cut, engine="vectorized")
+        assert flushed.vector_rounds > 0
+        order = sorted(graph.nodes)
+        live = np.array([not reference.contexts[v].halted for v in order])
+        assert live.tolist() == \
+            [not flushed.contexts[v].halted for v in order]
+        for name, column in reference.state_columns.items():
+            assert flushed.state_columns[name][live].tobytes() == \
+                column[live].tobytes(), name
+        assert flushed.metrics() == reference.metrics()
+        assert flushed.ledger.snapshot() == reference.ledger.snapshot()
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 5, 8, 13])
+    def test_regularized_luby_truncation_resumes_scalar(self, cut):
+        """Mark/join truncation of the regularized-Luby kernel, both on a
+        mark and on a join sub-round: the scalar continuation must finish
+        with the pure scalar run's outputs, ledgers and columns."""
+        from repro.baselines import RegularizedLubyProgram
+
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
 
         def fresh():
             return Network(
-                graph, {v: LubyProgram() for v in graph.nodes}, seed=7
+                graph,
+                {
+                    v: RegularizedLubyProgram(4, 3, 6)
+                    for v in graph.nodes
+                },
+                seed=13,
             )
 
-        with column_state(columns):
-            reference = fresh()
-            reference.run(engine="legacy")
-            hybrid = fresh()
-            hybrid.run_rounds(cut, engine="vectorized")
-            assert hybrid.vector_rounds == cut
-            hybrid.run(engine="fast")
+        reference = fresh()
+        reference.run(engine="legacy")
+        hybrid = fresh()
+        hybrid.run_rounds(cut, engine="vectorized")
+        assert hybrid.vector_rounds == cut
+        hybrid.run(engine="fast")
         assert hybrid.outputs("in_mis") == reference.outputs("in_mis")
-        assert hybrid.outputs("decided_round") == \
-            reference.outputs("decided_round")
         assert hybrid.metrics() == reference.metrics()
         assert hybrid.ledger.snapshot() == reference.ledger.snapshot()
-
-    def test_fault_keep_masks_identical_across_representations(self):
-        """Lossy-channel keep-masks thread through the vectorized path the
-        same way whether node state lives in columns or instance dicts."""
-        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-        spec = "lossy(drop=0.15,seed=5):congest"
-
-        def measure(mode, columns):
-            ledger = EnergyLedger(graph.nodes)
-            with column_state(columns):
-                with channel_scope(spec):
-                    with engine_mode(mode):
-                        result = run_algorithm(
-                            "luby", graph, seed=5, ledger=ledger
-                        )
-            return result, ledger.snapshot()
-
-        # Active faults: fast and legacy share one per-message stream; the
-        # vectorized path draws per-edge-slot keep masks (its own seeded
-        # stream, deterministic but distinct). Column-vs-dict state must be
-        # bit-identical *within* every mode regardless.
-        for mode in ("fast", "legacy", "vectorized"):
-            reference, reference_ledger = measure(mode, columns=False)
-            assert reference.metrics.messages_dropped > 0, mode
-            result, ledger_snapshot = measure(mode, columns=True)
-            assert result.mis == reference.mis, mode
-            assert result.metrics == reference.metrics, mode
-            assert ledger_snapshot == reference_ledger, mode
-        fast, fast_ledger = measure("fast", columns=True)
-        legacy, legacy_ledger = measure("legacy", columns=True)
-        assert fast.mis == legacy.mis
-        assert fast.metrics == legacy.metrics
-        assert fast_ledger == legacy_ledger
 
 
 class TestScheduleAwareKernels:
@@ -485,7 +534,44 @@ def test_heterogeneous_program_parameters_decline_vectorization():
     assert uniform.vector_rounds > 0
 
 
-@pytest.mark.parametrize("cut", [5, 6, 7, 8, 9, 10])
+class SchemalessFlooder(NodeProgram):
+    """Declares a vectorized-round factory but no ``state_schema()``: the
+    network binds no state columns, so no kernel could load its state."""
+
+    @classmethod
+    def vector_round(cls, network):
+        raise AssertionError("the engine must decline before the factory")
+
+    def on_round(self, ctx):
+        if ctx.round >= 2:
+            ctx.halt()
+            return
+        ctx.broadcast(ctx.round)
+
+
+def test_program_without_state_schema_declines_vectorization():
+    """Kernels work only on schema columns, so the engine itself declines
+    a population without them: forced mode names the missing schema,
+    auto mode runs the scalar path."""
+    graph = graphs.make_family("gnp_log_degree", N, seed=5)
+
+    def make():
+        return Network(
+            graph, {v: SchemalessFlooder() for v in graph.nodes}, seed=5
+        )
+
+    assert make().state_columns is None
+    with pytest.raises(VectorizationError, match="state_schema"):
+        make().run(engine="vectorized")
+    network = make()
+    network.run()
+    assert network.vector_rounds == 0
+    legacy = make()
+    legacy.run(engine="legacy")
+    assert network.metrics() == legacy.metrics()
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5, 6, 7, 8, 9, 10])
 def test_vectorized_truncation_resumes_scalar_bit_identically(cut):
     """run_rounds may stop the vectorized path mid-cycle; the flush must
     restore program-instance state (including inbox reconstruction and the
@@ -533,7 +619,7 @@ class GappySleeper(NodeProgram):
 
 
 class TestScheduledWorkloads:
-    def _run(self, legacy, runner):
+    def _run(self, engine, runner):
         graph = graphs.gnp(24, 0.15, seed=9)
         ledger = EnergyLedger(graph.nodes)
         network = Network(
@@ -543,12 +629,12 @@ class TestScheduledWorkloads:
             ledger=ledger,
             trace=True,
         )
-        runner(network, legacy)
+        runner(network, engine)
         return network
 
     def _assert_identical(self, runner):
-        fast = self._run(False, runner)
-        legacy = self._run(True, runner)
+        fast = self._run("fast", runner)
+        legacy = self._run("legacy", runner)
         assert fast.outputs("wakes") == legacy.outputs("wakes")
         assert fast.outputs("heard") == legacy.outputs("heard")
         assert fast.metrics() == legacy.metrics()
@@ -565,36 +651,21 @@ class TestScheduledWorkloads:
             legacy.trace.sleep_diagram(sorted(legacy.contexts))
 
     def test_run_to_completion(self):
-        self._assert_identical(lambda net, legacy: net.run(legacy=legacy))
+        self._assert_identical(lambda net, engine: net.run(engine=engine))
 
     def test_run_rounds_truncated_mid_gap(self):
         # 55 rounds ends inside an idle stretch: the fast path must still
         # advance simulated time to exactly the same round.
         self._assert_identical(
-            lambda net, legacy: net.run_rounds(55, legacy=legacy)
+            lambda net, engine: net.run_rounds(55, engine=engine)
         )
 
     def test_run_rounds_then_run(self):
-        def runner(net, legacy):
-            net.run_rounds(10, legacy=legacy)
-            net.run(legacy=legacy)
+        def runner(net, engine):
+            net.run_rounds(10, engine=engine)
+            net.run(engine=engine)
 
         self._assert_identical(runner)
-
-
-def test_set_legacy_mode_restores_enclosing_mode():
-    """The boolean toggle must not stomp a 4-way engine-mode scope."""
-    from repro.congest import get_engine_mode
-
-    assert get_engine_mode() == "auto"
-    with engine_mode("fast"):
-        set_legacy_mode(True)
-        assert get_engine_mode() == "legacy"
-        set_legacy_mode(False)
-        assert get_engine_mode() == "fast"  # not reset to "auto"
-        set_legacy_mode(False)  # idempotent outside legacy
-        assert get_engine_mode() == "fast"
-    assert get_engine_mode() == "auto"
 
 
 def test_module_level_switch():
@@ -605,12 +676,12 @@ def test_module_level_switch():
             ctx.output["ran"] = ctx.round
             ctx.halt()
 
-    set_legacy_mode(True)
+    set_engine_mode("legacy")
     try:
         legacy_net = Network(graph, {v: Once() for v in graph.nodes})
         legacy_metrics = legacy_net.run()
     finally:
-        set_legacy_mode(False)
+        set_engine_mode("auto")
     fast_net = Network(graph, {v: Once() for v in graph.nodes})
     assert fast_net.run() == legacy_metrics
     assert fast_net.outputs("ran") == legacy_net.outputs("ran")
@@ -628,8 +699,8 @@ def test_pruned_halt_schedules_agree_with_pending_work():
             ctx.halt()  # round-500000 entry must be pruned here
 
     graph = nx.path_graph(3)
-    for legacy in (False, True):
+    for engine in ("fast", "legacy"):
         network = Network(graph, {v: ScheduleThenHalt() for v in graph.nodes})
-        metrics = network.run(max_rounds=10_000, legacy=legacy)
+        metrics = network.run(max_rounds=10_000, engine=engine)
         assert metrics.rounds == 2  # not 500_001, and no limit error
         assert not network.has_pending_work()

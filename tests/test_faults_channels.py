@@ -20,7 +20,7 @@ from repro.congest import (
     ChannelError,
     CongestChannel,
     VectorizationError,
-    legacy_engine,
+    engine_mode,
     make_channel,
     set_engine_mode,
 )
@@ -156,7 +156,7 @@ def test_fast_and_legacy_agree_under_active_faults():
     spec = "lossy(drop=0.15,seed=5):congest"
     set_engine_mode("fast")
     fast = run_algorithm("luby", graph, seed=SEED, channel=spec)
-    with legacy_engine():
+    with engine_mode("legacy"):
         legacy = run_algorithm("luby", graph, seed=SEED, channel=spec)
     assert _fingerprint(fast) == _fingerprint(legacy)
 
