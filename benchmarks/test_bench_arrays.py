@@ -2,7 +2,7 @@
 
 One gate for the array-native layer (``BENCH_9.json``): generating a
 graph straight into :class:`GraphArrays` (``as_arrays=True`` — geometric
-skip-sampling plus one lexsort CSR build) must beat
+skip-sampling plus one sorted-key CSR build) must beat
 generate-via-networkx-then-convert >= 5x at n = 10^5. The two paths draw
 different edge sets (documented), so the gate compares construction cost
 only and sanity-checks sizes, not identity.

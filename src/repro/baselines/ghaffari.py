@@ -206,7 +206,7 @@ class _GhaffariVectorRound(VectorRound):
         executions = first.executions
         self.executions = executions
         self.iterations = first.iterations
-        self.alive = self.rank_mask(network._always_on)
+        self.alive = self.arrays.rank_mask(network._always_on)
         columns = self.state_columns
         self.status = columns["status"].copy()
         self.desire = columns["desire"].copy()

@@ -190,7 +190,7 @@ class _LubyVectorRound(VectorRound):
         # (the engine gates on an empty wake calendar), so membership
         # there — not just "not halted" — is what "awake every round"
         # means.
-        self.alive = self.rank_mask(network._always_on)
+        self.alive = self.arrays.rank_mask(network._always_on)
         # Network-owned columns share the kernel's rank order; a copy
         # decouples the round loop from descriptor reads until flush.
         columns = self.state_columns

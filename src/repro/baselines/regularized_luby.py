@@ -137,7 +137,7 @@ class _RegularizedLubyVectorRound(VectorRound):
     def load(self) -> None:
         arrays = self.arrays
         network = self.network
-        self.alive = self.rank_mask(network._always_on)
+        self.alive = self.arrays.rank_mask(network._always_on)
         columns = self.state_columns
         self.marked = columns["marked"].copy()
         self.saw_marked = columns["saw_marked_neighbor"].copy()

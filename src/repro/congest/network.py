@@ -313,12 +313,8 @@ class Network:
         """Ascending neighbor tuple of one node (Context's lazy backing)."""
         graph = self.graph
         if isinstance(graph, GraphArrays):
-            rank = node if graph.identity_ranks else graph.rank[node]
-            return tuple(
-                graph.indices[
-                    graph.indptr[rank]:graph.indptr[rank + 1]
-                ].tolist()
-            )
+            # CSR rows hold ranks; ``neighbors`` maps them back to labels.
+            return tuple(graph.neighbors(node))
         return tuple(sorted(graph.neighbors(node)))
 
     def _degree_of(self, node) -> int:

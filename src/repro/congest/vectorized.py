@@ -34,6 +34,7 @@ scalar and vectorized rounds interleave bit-identically.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -71,6 +72,18 @@ class _IdentityRank:
         return node
 
 
+def _is_identity(nodes) -> bool:
+    """Whether sorted labels are exactly 0..n-1 (each label its own rank)."""
+    n = len(nodes)
+    return bool(
+        n
+        and isinstance(nodes[0], int)
+        and isinstance(nodes[-1], int)
+        and nodes[0] == 0
+        and nodes[-1] == n - 1
+    )
+
+
 class GraphArrays:
     """CSR adjacency over rank-indexed nodes.
 
@@ -92,59 +105,41 @@ class GraphArrays:
 
     def __init__(self, graph):
         nodes = sorted(graph.nodes)
-        rank = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
-        m = graph.number_of_edges()
-        #: Labels 0..n-1 are their own ranks (every generated family);
-        #: hot paths then turn label sets into rank arrays without the
-        #: per-label dict lookup.
-        identity = bool(
-            n
-            and isinstance(nodes[0], int)
-            and isinstance(nodes[-1], int)
-            and nodes[0] == 0
-            and nodes[-1] == n - 1
-        )
-        # Vectorized CSR build: one pass over the edge list into rank
-        # arrays, then a single lexsort groups by source with sorted
-        # targets inside each row.  Graphs labelled 0..n-1 (every generated
-        # family) are their own rank map, so the edge list streams straight
-        # into numpy with no per-edge dict lookups — the build is then fast
-        # enough that a single short vectorized engagement already pays for
-        # it.
-        if m and identity:
-            import itertools
-
-            flat = np.fromiter(
-                itertools.chain.from_iterable(graph.edges),
-                dtype=np.int64,
-                count=2 * m,
-            )
-            head = flat[0::2]
-            tail = flat[1::2]
-        else:
-            head = np.empty(m, dtype=np.int64)
-            tail = np.empty(m, dtype=np.int64)
-            for k, (u, v) in enumerate(graph.edges):
-                head[k] = rank[u]
-                tail[k] = rank[v]
-        self._init_csr(nodes, head, tail, n, identity)
+        identity = _is_identity(nodes)
+        # Vectorized CSR build: the adjacency rows, read in sorted-label
+        # order, stream straight into one flat target array; the shared
+        # build then sorts each row. Graphs labelled 0..n-1 (every
+        # generated family) are their own rank map, so the targets need no
+        # per-entry dict lookup.
+        adj = graph.adj
+        rows = [adj[node] for node in nodes]
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        targets = itertools.chain.from_iterable(rows)
+        rank = None
         if not identity:
-            self._rank = rank
+            rank = {node: i for i, node in enumerate(nodes)}
+            targets = map(rank.__getitem__, targets)
+        target = np.fromiter(targets, dtype=np.int64, count=int(counts.sum()))
+        source = np.repeat(np.arange(n, dtype=np.int64), counts)
+        self._init_csr(nodes, source, target, n, identity)
+        self._rank = rank
 
-    def _init_csr(self, nodes, head, tail, n, identity) -> None:
-        """Shared CSR build from rank-indexed endpoint arrays."""
-        source = np.concatenate((head, tail))
-        target = np.concatenate((tail, head))
-        order = np.lexsort((target, source))
+    def _init_csr(self, nodes, source, target, n, identity) -> None:
+        """Shared CSR build from rank-indexed directed endpoint arrays.
+
+        One sort of the combined ``source * n + target`` key groups the
+        entries by source with sorted targets inside each row.
+        """
+        key = source * n + target
+        key.sort()
         self.nodes = nodes
         self._rank = None
-        self.indices = target[order]
-        counts = np.bincount(source, minlength=n)
+        self.indices = key % n
+        self.degrees = np.bincount(source, minlength=n).astype(np.int64)
         self.indptr = np.concatenate((
-            np.zeros(1, dtype=np.int64), np.cumsum(counts)
+            np.zeros(1, dtype=np.int64), np.cumsum(self.degrees)
         ))
-        self.degrees = counts.astype(np.int64)
         self.n = n
         self.identity_ranks = identity
         self._edge_source = None  # built lazily (one np.repeat over m)
@@ -163,12 +158,79 @@ class GraphArrays:
         tail = np.ascontiguousarray(tail, dtype=np.int64)
         # ``range`` supports everything callers ask of ``nodes`` (len,
         # iteration, indexing) without a million-entry python list.
-        self._init_csr(range(n), head, tail, n, True)
+        self._init_csr(range(n), np.concatenate((head, tail)),
+                       np.concatenate((tail, head)), n, True)
         return self
 
     @classmethod
     def from_graph(cls, graph) -> "GraphArrays":
         return cls(graph)
+
+    def induced(self, nodes) -> "GraphArrays":
+        """The subgraph induced by the labels ``nodes``, as a new CSR.
+
+        Labels are kept, in sorted order, so ranks keep their relative
+        order: rank-ordered state (per-node RNG spawn order, state-column
+        rows) of the subgraph matches what a ``networkx`` subgraph copy
+        would give. Costs one pass over the kept rows' adjacency; the
+        parent is never copied.
+        """
+        keep = self.rank_mask(nodes)
+        ranks = np.flatnonzero(keep)
+        k = int(ranks.size)
+        lengths = self.degrees[ranks]
+        # Entry positions of the kept rows, row after row.
+        ends = np.cumsum(lengths)
+        positions = np.arange(int(ends[-1]) if k else 0, dtype=np.int64)
+        positions += np.repeat(self.indptr[ranks] - (ends - lengths), lengths)
+        targets = self.indices[positions]
+        inside = keep[targets]
+        new_rank = np.cumsum(keep) - 1
+        sub = GraphArrays.__new__(GraphArrays)
+        if self.identity_ranks:
+            labels = ranks.tolist()
+        else:
+            labels = [self.nodes[i] for i in ranks.tolist()]
+        sub._init_csr(
+            labels,
+            np.repeat(np.arange(k, dtype=np.int64), lengths)[inside],
+            new_rank[targets[inside]],
+            k,
+            _is_identity(labels),
+        )
+        return sub
+
+    def rank_mask(self, nodes) -> np.ndarray:
+        """Boolean rank mask of a collection of labels (all must be nodes)."""
+        mask = np.zeros(self.n, dtype=bool)
+        count = len(nodes)
+        if not count:
+            return mask
+        if self.identity_ranks:
+            ranks = np.fromiter(nodes, dtype=np.int64, count=count)
+            if ranks.min() < 0 or ranks.max() >= self.n:
+                raise KeyError("labels outside 0..n-1")
+        else:
+            ranks = np.fromiter(map(self.rank.__getitem__, nodes),
+                                dtype=np.int64, count=count)
+        mask[ranks] = True
+        return mask
+
+    def to_networkx(self):
+        """A ``networkx.Graph`` with the same labels (sorted) and edges."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        nodes = self.nodes
+        graph.add_nodes_from(nodes)
+        upper = self.indices > self.edge_source
+        head = self.edge_source[upper].tolist()
+        tail = self.indices[upper].tolist()
+        if not self.identity_ranks:
+            head = [nodes[i] for i in head]
+            tail = [nodes[i] for i in tail]
+        graph.add_edges_from(zip(head, tail))
+        return graph
 
     @property
     def rank(self):
@@ -303,32 +365,37 @@ class GraphArrays:
         ).astype(np.int64, copy=False)
 
 
+def graph_csr(graph) -> GraphArrays:
+    """The :class:`GraphArrays` of any graph (built on first use).
+
+    A :class:`GraphArrays` is its own CSR. A ``networkx`` graph's CSR is
+    parked in its ``__networkx_cache__`` when one exists: networkx clears
+    that dict on every mutation, so repeated runs over the same (static)
+    graph — the phases of one solve, sweeps, benchmarks, engine
+    comparisons — reuse one build, while dynamic workloads that rewire
+    edges between epochs are invalidated for free.
+    """
+    if isinstance(graph, GraphArrays):
+        return graph
+    cache = getattr(graph, "__networkx_cache__", None)
+    if not isinstance(cache, dict):
+        return GraphArrays.from_graph(graph)
+    arrays = cache.get("repro_graph_arrays")
+    if arrays is None:
+        arrays = GraphArrays.from_graph(graph)
+        cache["repro_graph_arrays"] = arrays
+    return arrays
+
+
 def graph_arrays(network) -> GraphArrays:
-    """The network's cached :class:`GraphArrays` (built on first use).
+    """The network's cached :class:`GraphArrays` (see :func:`graph_csr`).
 
     Shared between the vectorized round runners and the radio channel's
     bincount listener scan, so one network builds the CSR at most once.
-    The CSR is also parked in the graph's ``__networkx_cache__`` when one
-    exists: networkx clears that dict on every mutation, so repeated runs
-    over the same (static) graph — sweeps, benchmarks, engine comparisons
-    — reuse one build, while dynamic workloads that rewire edges between
-    epochs are invalidated for free.
     """
     arrays = getattr(network, "_graph_arrays", None)
     if arrays is None:
-        graph = network.graph
-        if isinstance(graph, GraphArrays):
-            # Array-native network: the graph *is* the CSR already.
-            arrays = graph
-        else:
-            cache = getattr(graph, "__networkx_cache__", None)
-            if isinstance(cache, dict):
-                arrays = cache.get("repro_graph_arrays")
-                if arrays is None:
-                    arrays = GraphArrays(graph)
-                    cache["repro_graph_arrays"] = arrays
-            else:
-                arrays = GraphArrays(graph)
+        arrays = graph_csr(network.graph)
         network._graph_arrays = arrays
     return arrays
 
@@ -582,7 +649,7 @@ class VectorRound:
         network = self.network
         arrays = self.arrays
         n = arrays.n
-        always_on = self.rank_mask(network._always_on)
+        always_on = arrays.rank_mask(network._always_on)
         always_awake = np.zeros(n, dtype=bool)
         halted = np.zeros(n, dtype=bool)
         contexts = network.contexts
@@ -593,21 +660,6 @@ class VectorRound:
             if ctx._halted:
                 halted[i] = True
         return always_on, always_awake, halted
-
-    def rank_mask(self, members) -> np.ndarray:
-        """Boolean rank mask of a node-label collection (vectorized for
-        identity-labelled graphs — the only kind that gets big)."""
-        arrays = self.arrays
-        mask = np.zeros(arrays.n, dtype=bool)
-        count = len(members)
-        if count:
-            if arrays.identity_ranks:
-                mask[np.fromiter(members, dtype=np.int64, count=count)] = True
-            else:
-                rank = arrays.rank
-                for node in members:
-                    mask[rank[node]] = True
-        return mask
 
     def fault_keep(self) -> Optional[np.ndarray]:
         """This round's per-slot delivery mask, or None when nothing drops."""

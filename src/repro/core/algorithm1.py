@@ -25,6 +25,7 @@ import networkx as nx
 
 from ..congest import EnergyLedger, channel_scope
 from ..congest.metrics import RunMetrics
+from ..congest.vectorized import GraphArrays
 from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
@@ -34,7 +35,7 @@ from .phase3 import _derive_seed, run_phase3
 
 
 def algorithm1(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     seed: int = 0,
     *,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -47,7 +48,10 @@ def algorithm1(
     Parameters
     ----------
     graph:
-        Undirected input graph (any hashable, comparable node ids).
+        Undirected input graph: a networkx graph or a
+        :class:`~repro.congest.vectorized.GraphArrays` (any hashable,
+        comparable node ids). Phases hand off CSR inductions of it that
+        keep its labels.
     seed:
         Master seed; phases derive independent sub-seeds from it.
     config:
@@ -86,7 +90,7 @@ def algorithm1(
             )
         instrument.on_phase_end("phase1", phase1.metrics)
 
-        residual = graph.subgraph(phase1.remaining).copy()
+        residual = phase1.residual
         instrument.on_phase_start("phase2")
         with section_scope(prof, "phase2"):
             phase2 = run_phase2(

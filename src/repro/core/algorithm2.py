@@ -17,6 +17,7 @@ import networkx as nx
 
 from ..congest import EnergyLedger, channel_scope
 from ..congest.metrics import RunMetrics
+from ..congest.vectorized import GraphArrays
 from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
@@ -26,7 +27,7 @@ from .phase3 import _derive_seed, run_phase3
 
 
 def algorithm2(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     seed: int = 0,
     *,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -36,8 +37,10 @@ def algorithm2(
 ) -> MISResult:
     """Compute an MIS of ``graph`` with Algorithm 2 of the paper.
 
-    Same contract as :func:`repro.core.algorithm1.algorithm1`; the
-    difference is the phase mix — faster overall rounds at slightly higher
+    Same contract as :func:`repro.core.algorithm1.algorithm1` (``graph``
+    is a networkx graph or a
+    :class:`~repro.congest.vectorized.GraphArrays`); the difference is
+    the phase mix — faster overall rounds at slightly higher
     (``log² log n`` vs ``log log n``) energy.
     """
     if graph.number_of_nodes() == 0:
@@ -60,7 +63,7 @@ def algorithm2(
             )
         instrument.on_phase_end("phase1", phase1.metrics)
 
-        residual = graph.subgraph(phase1.remaining).copy()
+        residual = phase1.residual
         instrument.on_phase_start("phase2")
         with section_scope(prof, "phase2"):
             phase2 = run_phase2(

@@ -45,7 +45,8 @@ from ..congest import (
     channel_scope,
 )
 from ..congest.metrics import RunMetrics
-from ..graphs.properties import max_degree
+from ..congest.vectorized import GraphArrays, graph_csr
+from ..graphs.properties import induced_subgraph, max_degree
 from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
@@ -225,7 +226,7 @@ class Lemma42Program(NodeProgram):
 
 
 def run_lemma42(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     *,
     seed: int = 0,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -246,7 +247,8 @@ def run_lemma42(
                            total_energy=0)
         return PhaseResult(set(), set(), set(), empty,
                            details={"failed": set(), "reduced": set(),
-                                    "iterations": 0})
+                                    "iterations": 0},
+                           residual=graph_csr(graph))
 
     before = ledger.snapshot()
     delta2 = max_degree(graph)
@@ -269,6 +271,7 @@ def run_lemma42(
             metrics=metrics,
             details={"failed": set(), "reduced": set(graph.nodes),
                      "iterations": 0, "delta2": delta2},
+            residual=graph_csr(graph),
         )
 
     programs = {
@@ -288,6 +291,7 @@ def run_lemma42(
     dominated -= joined
     failed -= joined | dominated
     reduced = set(graph.nodes) - joined - dominated - failed
+    reduced_graph = induced_subgraph(graph, reduced)
 
     metrics = RunMetrics.from_snapshots(
         total_rounds, before, ledger.snapshot(), graph.nodes,
@@ -308,15 +312,16 @@ def run_lemma42(
             "iterations": iterations,
             "rounds_per_iteration": rounds_per_iteration,
             "delta2": delta2,
-            "reduced_max_degree": max_degree(graph.subgraph(reduced)),
+            "reduced_max_degree": max_degree(reduced_graph),
         },
+        residual=reduced_graph,
     )
     result.check_partition(set(graph.nodes))
     return result
 
 
 def run_sparsify(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     *,
     seed: int = 0,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -382,7 +387,7 @@ def run_sparsify(
 
 
 def _compose_average_energy(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     seed: int,
     config: AlgorithmConfig,
     ledger: Optional[EnergyLedger],
@@ -413,17 +418,16 @@ def _compose_average_energy(
         graph, seed=_derive_seed(seed, 11), config=config, ledger=ledger,
         size_bound=n,
     ))
-    residual = graph.subgraph(phase1.remaining).copy()
+    residual = phase1.residual
 
     lemma42 = observed_phase("lemma42", lambda: run_lemma42(
         residual, seed=_derive_seed(seed, 12), config=config, ledger=ledger,
         size_bound=n,
     ))
-    reduced = lemma42.details.get("reduced", set())
     failed = lemma42.details.get("failed", set())
 
     sparsified = observed_phase("sparsify", lambda: run_sparsify(
-        residual.subgraph(reduced).copy(),
+        lemma42.residual,
         seed=_derive_seed(seed, 13), config=config, ledger=ledger,
         size_bound=n,
     ))
@@ -441,7 +445,7 @@ def _compose_average_energy(
     }
     leftover = (failed - dominated_failed) | sparsified.remaining
     phase2 = observed_phase("phase2", lambda: run_phase2(
-        residual.subgraph(leftover).copy(),
+        induced_subgraph(residual, leftover),
         seed=_derive_seed(seed, 14), config=config, ledger=ledger,
         size_bound=n,
     ))
@@ -480,7 +484,7 @@ def _compose_average_energy(
 
 
 def algorithm1_constant_average_energy(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     seed: int = 0,
     *,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -489,7 +493,11 @@ def algorithm1_constant_average_energy(
     channel=None,
 ) -> MISResult:
     """Algorithm 1 augmented per Section 4: O(1) node-averaged energy while
-    keeping the Theorem 1.1 worst-case time/energy bounds."""
+    keeping the Theorem 1.1 worst-case time/energy bounds.
+
+    ``graph`` is a networkx graph or a
+    :class:`~repro.congest.vectorized.GraphArrays`.
+    """
     with channel_scope(channel):
         return _compose_average_energy(
             graph, seed, config, ledger, run_phase1_alg1,
@@ -498,7 +506,7 @@ def algorithm1_constant_average_energy(
 
 
 def algorithm2_constant_average_energy(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     seed: int = 0,
     *,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -506,7 +514,8 @@ def algorithm2_constant_average_energy(
     size_bound: Optional[int] = None,
     channel=None,
 ) -> MISResult:
-    """Algorithm 2 augmented per Section 4."""
+    """Algorithm 2 augmented per Section 4 (``graph``: a networkx graph or
+    a :class:`~repro.congest.vectorized.GraphArrays`)."""
     with channel_scope(channel):
         return _compose_average_energy(
             graph, seed, config, ledger, run_phase1_alg2,

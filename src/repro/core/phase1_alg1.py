@@ -41,8 +41,8 @@ import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, Network, NodeProgram, StateField
-from ..congest.vectorized import VectorRound
-from ..graphs.properties import max_degree
+from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
+from ..graphs.properties import induced_subgraph, max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase_result import PhaseResult
@@ -267,7 +267,7 @@ class _Phase1Alg1VectorRound(VectorRound):
 
 
 def run_phase1_alg1(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     *,
     seed: int = 0,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -307,6 +307,7 @@ def run_phase1_alg1(
                 "sampled_nodes": 0,
                 "residual_max_degree": delta,
             },
+            residual=graph_csr(graph),
         )
         return result
 
@@ -345,6 +346,7 @@ def run_phase1_alg1(
         max_message_bits=network.max_message_bits,
     )
     sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
+    residual = induced_subgraph(graph, remaining)
     result = PhaseResult(
         joined=joined,
         dominated=dominated,
@@ -355,8 +357,9 @@ def run_phase1_alg1(
             "rounds_per_iteration": rounds_per_iteration,
             "delta": delta,
             "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(graph.subgraph(remaining)),
+            "residual_max_degree": max_degree(residual),
         },
+        residual=residual,
     )
     result.check_partition(set(graph.nodes))
     return result

@@ -46,8 +46,13 @@ import numpy as np
 
 from ..congest import EnergyLedger, Network, NodeProgram, StateField
 from ..congest.metrics import RunMetrics
-from ..congest.vectorized import VectorRound, int_bit_length
-from ..graphs.properties import max_degree
+from ..congest.vectorized import (
+    GraphArrays,
+    VectorRound,
+    graph_csr,
+    int_bit_length,
+)
+from ..graphs.properties import induced_subgraph, max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase3 import _derive_seed
@@ -539,7 +544,7 @@ class _Phase1Alg2VectorRound(VectorRound):
 
 
 def run_lemma31_iteration(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     delta: int,
     *,
     seed: int = 0,
@@ -578,6 +583,7 @@ def run_lemma31_iteration(
         max_message_bits=network.max_message_bits,
     )
     sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
+    residual = induced_subgraph(graph, remaining)
     result = PhaseResult(
         joined=joined,
         dominated=dominated,
@@ -587,15 +593,16 @@ def run_lemma31_iteration(
             "delta": delta,
             "rounds": rounds,
             "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(graph.subgraph(remaining)),
+            "residual_max_degree": max_degree(residual),
         },
+        residual=residual,
     )
     result.check_partition(set(graph.nodes))
     return result
 
 
 def run_phase1_alg2(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     *,
     seed: int = 0,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -616,8 +623,8 @@ def run_phase1_alg2(
     floor = config.alg2_degree_floor(n)
     joined: Set[int] = set()
     dominated: Set[int] = set()
-    current = graph
-    delta = max_degree(graph)
+    current = graph_csr(graph)
+    delta = max_degree(current)
     total_rounds = 0
     iteration_details = []
     failures = 0
@@ -638,7 +645,8 @@ def run_phase1_alg2(
         dominated |= step.dominated
         total_rounds += step.metrics.rounds
         iteration_details.append(step.details)
-        current = current.subgraph(step.remaining).copy()
+        assert step.residual is not None  # every iteration hands off
+        current = step.residual
         target = max(1, math.ceil(delta**config.alg2_target_exponent))
         actual = max_degree(current)
         if actual > target:
@@ -663,6 +671,7 @@ def run_phase1_alg2(
             "per_iteration": iteration_details,
             "residual_max_degree": max_degree(current),
         },
+        residual=current,
     )
     result.check_partition(set(graph.nodes))
     return result

@@ -32,7 +32,8 @@ from ..baselines.ghaffari import ghaffari_shatter
 from ..cluster import Choreography, ClusterState, RootedTree, state_from_trees
 from ..congest import EnergyLedger
 from ..congest.metrics import RunMetrics
-from ..graphs.properties import max_degree
+from ..congest.vectorized import GraphArrays
+from ..graphs.properties import induced_subgraph, max_degree
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase_result import PhaseResult
 
@@ -118,7 +119,7 @@ def ball_carving(
 
 
 def run_phase2(
-    graph: nx.Graph,
+    graph: nx.Graph | GraphArrays,
     *,
     seed: int = 0,
     config: AlgorithmConfig = DEFAULT_CONFIG,
@@ -151,18 +152,21 @@ def run_phase2(
     dominated = set(graph.nodes) - joined - undecided
     shatter_rounds = network.metrics().rounds
 
-    residue = graph.subgraph(undecided).copy()
+    # Only the small undecided residue becomes a networkx graph: ball
+    # carving and the Phase III clusters walk it node by node.
+    residue = induced_subgraph(graph, undecided)
+    residue_graph = residue.to_networkx()
     choreography = Choreography(ledger)
     radius = config.phase2_radius(n)
     trees = (
-        ball_carving(residue, radius, choreography) if undecided else {}
+        ball_carving(residue_graph, radius, choreography) if undecided else {}
     )
 
     components: List[ClusterState] = []
     for component in sorted(
-        nx.connected_components(residue), key=lambda c: min(c)
+        nx.connected_components(residue_graph), key=lambda c: min(c)
     ):
-        component_graph = residue.subgraph(component).copy()
+        component_graph = induced_subgraph(residue, component).to_networkx()
         component_trees = {
             center: tree
             for center, tree in trees.items()

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Set
+from typing import Any, Dict, Optional, Set
 
 from ..congest.metrics import RunMetrics
+from ..congest.vectorized import GraphArrays
 
 
 @dataclass
@@ -24,6 +25,11 @@ class PhaseResult:
         Time/energy accounting for this phase alone.
     details:
         Phase-specific extras (residual degree, component stats, ...).
+    residual:
+        The hand-off: the CSR of the phase's input induced on the nodes
+        the next phase runs on, with the input's labels — ``remaining``,
+        or Lemma 4.2's reduced set (its failed set skips the sparsifier).
+        ``None`` for phases whose output feeds no single next graph.
     """
 
     joined: Set[int]
@@ -31,6 +37,7 @@ class PhaseResult:
     remaining: Set[int]
     metrics: RunMetrics
     details: Dict[str, Any] = field(default_factory=dict)
+    residual: Optional[GraphArrays] = None
 
     def check_partition(self, nodes: Set[int]) -> None:
         """Sanity: joined/dominated/remaining partition the phase's input."""

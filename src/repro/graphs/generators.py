@@ -7,7 +7,7 @@ and is deterministic in its ``seed``.
 The random families additionally offer an **array-native** construction
 path (``as_arrays=True`` on :func:`gnp`, :func:`gnp_expected_degree` and
 :func:`make_family`): edges are sampled straight into flat numpy arrays and
-lexsorted into a :class:`~repro.congest.vectorized.GraphArrays` CSR — no
+sorted into a :class:`~repro.congest.vectorized.GraphArrays` CSR — no
 ``networkx.Graph`` of per-node adjacency dicts is ever materialized, which
 is what makes ``n = 10^6`` graphs constructible on laptop-class memory.
 The array-native G(n, p) sampler is deterministic in ``seed`` but draws

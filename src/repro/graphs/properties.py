@@ -6,6 +6,8 @@ from typing import Dict, List, Set
 
 import networkx as nx
 
+from ..congest.vectorized import GraphArrays, graph_csr
+
 
 def max_degree(graph) -> int:
     """Maximum degree Δ of the graph (0 for edgeless graphs)."""
@@ -24,13 +26,20 @@ def component_sizes(graph: nx.Graph) -> List[int]:
     )
 
 
-def induced_subgraph(graph: nx.Graph, nodes) -> nx.Graph:
-    """Copy of the subgraph induced by ``nodes`` (detached from the parent)."""
-    return graph.subgraph(nodes).copy()
+def induced_subgraph(graph, nodes) -> GraphArrays:
+    """The subgraph induced by ``nodes``, as a CSR detached from the parent.
+
+    ``graph`` is a networkx graph or a :class:`GraphArrays`; the induction
+    runs on its (cached) CSR and keeps the parent's labels, in sorted
+    order. This is the hand-off between the phases of the paper's
+    algorithms.
+    """
+    return graph_csr(graph).induced(nodes)
 
 
-def remove_closed_neighborhoods(graph: nx.Graph, centers: Set[int]) -> nx.Graph:
-    """Return a copy with every center and all its neighbors removed.
+def remove_closed_neighborhoods(graph, centers: Set[int]) -> GraphArrays:
+    """The induced subgraph left once every center and all its neighbors
+    are removed.
 
     This is the operation the paper applies after each phase: the computed
     independent set and its neighborhood leave the residual graph.

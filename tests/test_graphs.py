@@ -142,5 +142,8 @@ class TestProperties:
     def test_induced_subgraph_is_detached(self):
         g = graphs.path(4)
         sub = graphs.induced_subgraph(g, {0, 1})
-        sub.add_edge(0, 99)
-        assert 99 not in g
+        g.add_edge(0, 99)
+        g.add_edge(1, 3)
+        assert 99 not in sub
+        assert list(sub.nodes) == [0, 1]
+        assert sub.neighbors(1) == [0]

@@ -6,13 +6,17 @@ Two guarantees the rest of the suite only covers piecemeal:
   workload family (small n, fixed seed);
 * a fixed seed reproduces the identical :class:`MISResult` — set, rounds,
   and energy — run-to-run (the determinism contract the dynamic subsystem
-  and the sweep harness both build on).
+  and the sweep harness both build on);
+* the paper's algorithms give the identical result on a networkx graph and
+  on its :class:`GraphArrays` twin.
 """
 
 import pytest
 
 from repro.analysis import verify_mis
-from repro.graphs import FAMILIES, make_family
+from repro.congest import EnergyLedger
+from repro.congest.vectorized import GraphArrays
+from repro.graphs import FAMILIES, gnp_expected_degree, make_family
 from repro.harness import ALGORITHMS, run_algorithm
 
 N = 24
@@ -47,3 +51,38 @@ def test_fixed_seed_reproduces_identical_results(algorithm):
     assert first.rounds == second.rounds
     assert first.max_energy == second.max_energy
     assert first.average_energy == second.average_energy
+
+
+#: The paper's pipelines, whose phases hand off induced residual graphs.
+PAPER_ALGORITHMS = ("algorithm1", "algorithm1_avg", "algorithm2",
+                    "algorithm2_avg")
+REPRESENTATIONS = ("networkx", "arrays")
+
+
+def _twin_input(family):
+    # "dense" is dense enough that Phase I and Lemma 3.1 hand off residuals.
+    if family == "dense":
+        return gnp_expected_degree(600, 150, seed=SEED)
+    return make_family(family, N, seed=SEED)
+
+
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["dense"])
+def test_paper_algorithms_identical_on_both_representations(algorithm,
+                                                            family):
+    outcomes = {}
+    for representation in REPRESENTATIONS:
+        graph = _twin_input(family)
+        if representation == "arrays":
+            graph = GraphArrays.from_graph(graph)
+        ledger = EnergyLedger(graph.nodes)
+        result = run_algorithm(algorithm, graph, seed=SEED, ledger=ledger)
+        assert verify_mis(_twin_input(family), result.mis).valid
+        outcomes[representation] = (
+            result.mis,
+            result.rounds,
+            result.max_energy,
+            result.average_energy,
+            ledger.snapshot(),
+        )
+    assert outcomes["arrays"] == outcomes["networkx"]
