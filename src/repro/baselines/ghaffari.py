@@ -176,8 +176,8 @@ class GhaffariProgram(NodeProgram):
 class _GhaffariVectorRound(VectorRound):
     """Whole-network mark/join rounds over ``(n, executions)`` columns.
 
-    All ``executions`` parallel instances advance in one pass; the per-node
-    RNG draw order is preserved because the scalar program draws once per
+    All ``executions`` parallel instances advance in one pass; each node's
+    draws line up with the scalar program's because it draws once per
     ACTIVE execution in ascending execution order, which is exactly the
     order of the kernel's per-execution ``draws.take`` calls.
 

@@ -167,8 +167,8 @@ class _LubyVectorRound(VectorRound):
       ``degree * n + rank`` (rank order is label order, so the encoding is
       order-isomorphic to the scalar tuple compare).
 
-    RNG draw order matches the scalar loop exactly: only ACTIVE nodes with
-    a live neighbor draw, in sorted node order, one uniform per MARK.
+    Draws match the scalar loop exactly: only ACTIVE nodes with a live
+    neighbor draw, one uniform per MARK, from their own keyed streams.
 
     Under an active channel-fault stack (``self.faults``), the first
     invariant breaks — a dropped join/retire announcement leaves the

@@ -120,10 +120,10 @@ class _RegularizedLubyVectorRound(VectorRound):
 
     The marking probability is a *global* function of the algorithm round
     (no per-node degree), so one scalar probability gates a whole draw
-    column; every live node draws each MARK sub-round in sorted node
-    order, exactly like the scalar loop.  All schedule parameters are
-    identical across nodes by construction (one factory builds every
-    program), so they are read from an arbitrary instance.
+    column; every live node draws once each MARK sub-round, exactly like
+    the scalar loop.  All schedule parameters are identical across nodes
+    by construction (one factory builds every program), so they are read
+    from an arbitrary instance.
 
     Channel faults are simpler here than in classic Luby: the marking
     probability carries no degree belief, so a fault only filters which

@@ -49,7 +49,6 @@ from .program import Context, NodeProgram
 from .state import StateField
 from .trace import NetworkTrace, RoundRecord
 from .vectorized import (
-    DrawStreams,
     GraphArrays,
     VectorRound,
     graph_arrays,
@@ -61,7 +60,6 @@ from .vectorized import (
 __all__ = [
     "BroadcastChannel",
     "CHANNELS",
-    "DrawStreams",
     "ENGINE_MODES",
     "GraphArrays",
     "VectorRound",

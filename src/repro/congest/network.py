@@ -56,7 +56,6 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..obs.instrument import NULL_INSTRUMENT, resolve_instrument
 from .channels import ChannelSpec, CongestChannel, LocalChannel, make_channel
@@ -65,6 +64,7 @@ from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import NO_BROADCAST, Context, NodeProgram
 from .state import allocate_columns, bind_state
+from .streams import NodeStreams
 from .vectorized import GraphArrays
 
 #: Engine paths selectable per run or globally (see :func:`engine_mode`):
@@ -160,8 +160,8 @@ class Network:
     programs:
         Mapping from node to its :class:`NodeProgram` instance.
     seed:
-        Master seed; per-node generators are spawned deterministically, so a
-        fixed seed reproduces the run bit-for-bit.
+        Master seed keying every node's random stream (see
+        :mod:`repro.congest.streams`), so it reproduces a run bit-for-bit.
     bit_budget:
         CONGEST message budget ``B`` in bits; defaults to ``Θ(log n)``.
     ledger:
@@ -209,7 +209,7 @@ class Network:
 
         self.graph = graph
         #: Node labels in ascending order — the canonical rank order shared
-        #: by RNG spawning, state-column rows, and the CSR adjacency.
+        #: by the random streams, state-column rows, and the CSR adjacency.
         self._node_order = (
             list(graph.nodes)
             if isinstance(graph, GraphArrays)
@@ -230,12 +230,11 @@ class Network:
         self.max_message_bits = 0
         self.collisions = 0
 
-        seed_seq = np.random.SeedSequence(seed)
-        children = seed_seq.spawn(graph.number_of_nodes())
-        self.contexts: Dict[int, Context] = {}
-        for child, node in zip(children, self._node_order):
-            rng = np.random.default_rng(child)
-            self.contexts[node] = Context(self, node, self.n, rng)
+        self.streams = NodeStreams(seed, len(self._node_order))
+        self.contexts: Dict[int, Context] = {
+            node: Context(self, node, rank, self.n)
+            for rank, node in enumerate(self._node_order)
+        }
 
         #: Flat per-field state columns when the programs declare a schema
         #: (see :mod:`repro.congest.state`), else None (plain instance
@@ -563,8 +562,8 @@ class Network:
         """
         if not force and self.graph.number_of_nodes() < VECTOR_AUTO_MIN_NODES:
             # Below the auto floor the runner would never be used; skip
-            # even building it (the CSR + draw buffers are the overhead
-            # the floor exists to avoid).
+            # even building it (the CSR is the overhead the floor exists
+            # to avoid).
             return None
         cache = self._vector_runner_cache
         if cache is None:
@@ -665,8 +664,7 @@ class Network:
 
         Must run immediately before any scalar :meth:`step` while a
         runner may hold live state — the scalar loop reads program
-        attributes and per-node RNG streams, both of which the runner
-        owns while loaded.
+        attributes, which the runner owns while loaded.
         """
         if runner is not None and runner.loaded:
             runner.flush()

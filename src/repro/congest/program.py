@@ -4,7 +4,7 @@ A distributed algorithm is written as a :class:`NodeProgram` subclass; the
 engine instantiates one program per node. Programs see only local
 information: their identifier, their neighbors' identifiers, a polynomial
 bound ``n`` on the network size (standard in the model), a private random
-generator, and the messages delivered to them while awake.
+stream (``ctx.rng``), and the messages delivered to them while awake.
 
 Sleeping semantics (Section 1.1 of the paper):
 
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import SchedulingError
 from .message import Message
 from .state import StateField, install_descriptors
+from .streams import NodeRandom
 
 # Marker for "no whole-neighborhood broadcast pending this round".  Channels
 # store a pending ``ctx.broadcast(payload)`` as a single marker assignment
@@ -52,7 +51,8 @@ class Context:
         "_neighbors",
         "_nbset",
         "n",
-        "rng",
+        "_rank",
+        "_rng",
         "output",
         "_halted",
         "_always_awake",
@@ -61,8 +61,7 @@ class Context:
         "_bcast",
     )
 
-    def __init__(self, network: Any, node: int, n: int,
-                 rng: np.random.Generator):
+    def __init__(self, network: Any, node: int, rank: int, n: int):
         self._network = network
         self.node = node
         # Neighbor tuples are materialized lazily: a network of 10^6 nodes
@@ -72,7 +71,8 @@ class Context:
         self._neighbors: Optional[Tuple[int, ...]] = None
         self._nbset: Optional[frozenset] = None
         self.n = n
-        self.rng = rng
+        self._rank = rank
+        self._rng: Optional[NodeRandom] = None
         self.output: Dict[str, Any] = {}
         self._halted = False
         self._always_awake = True
@@ -99,6 +99,14 @@ class Context:
             nbset = frozenset(self.neighbors)
             self._nbset = nbset
         return nbset
+
+    @property
+    def rng(self) -> NodeRandom:
+        """This node's private random stream (built on first use)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = NodeRandom(self._network.streams, self._rank)
+        return rng
 
     @property
     def degree(self) -> int:
@@ -237,7 +245,7 @@ class NodeProgram:
     #: :meth:`VectorRound.pop_scheduled_awake` and so also cover
     #: sleep-scheduled phases like the paper's Phase I. Declaring the
     #: capability is a promise of *bit-identical* semantics — outputs,
-    #: metrics, ledger, traces, and per-node RNG draw order — which
+    #: metrics, ledger, traces, and per-node draw counters — which
     #: ``tests/test_engine_equivalence.py`` enforces for every registered
     #: algorithm.
     vector_round = None

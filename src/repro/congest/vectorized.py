@@ -12,10 +12,10 @@ This module provides the third engine path: node state is flattened into
 contiguous numpy columns (degree/mark/priority/state), the graph into a CSR
 adjacency (:class:`GraphArrays`), and one :class:`VectorRound` subclass per
 capable algorithm advances the *whole network* one synchronous round with
-array ops — bit-identically to the scalar paths, including the RNG draw
-order (each node still consumes its own per-node generator stream in sorted
-node order; block prefetching via :class:`DrawStreams` is exact because
-``Generator.random(k)`` produces the same stream as ``k`` scalar draws).
+array ops — bit-identically to the scalar paths, including every node's
+random draws: kernels draw the whole active set at once from the network's
+keyed streams (:class:`~repro.congest.streams.NodeStreams`), which read and
+bump the same per-node counters as the scalar ``ctx.rng``.
 
 A program class opts in by overriding the :attr:`NodeProgram.vector_round`
 hook with a factory ``(network) -> VectorRound``.  The network engages the
@@ -35,7 +35,7 @@ scalar and vectorized rounds interleave bit-identically.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -170,10 +170,10 @@ class GraphArrays:
         """The subgraph induced by the labels ``nodes``, as a new CSR.
 
         Labels are kept, in sorted order, so ranks keep their relative
-        order: rank-ordered state (per-node RNG spawn order, state-column
-        rows) of the subgraph matches what a ``networkx`` subgraph copy
-        would give. Costs one pass over the kept rows' adjacency; the
-        parent is never copied.
+        order: rank-ordered state (random streams, state-column rows) of
+        the subgraph matches what a ``networkx`` subgraph copy would give.
+        Costs one pass over the kept rows' adjacency; the parent is never
+        copied.
         """
         keep = self.rank_mask(nodes)
         ranks = np.flatnonzero(keep)
@@ -414,75 +414,6 @@ def invalidate_graph_arrays(graph) -> None:
         cache.pop("repro_graph_arrays", None)
 
 
-class DrawStreams:
-    """Block-prefetched per-node uniform draws, bit-identical to scalar.
-
-    ``Generator.random(k)`` consumes the underlying bit stream exactly like
-    ``k`` successive ``Generator.random()`` calls, so prefetching a block
-    per node and serving draws from it preserves each node's draw sequence
-    while replacing the per-draw python call with one fancy-indexed numpy
-    gather per round.
-
-    Prefetching advances the real generators *ahead* of what the node has
-    logically consumed, so :meth:`release` must run before any scalar code
-    touches ``ctx.rng`` again: it rewinds each generator by the number of
-    unconsumed prefetched draws (each float64 consumes exactly one PCG64
-    step, so ``bit_generator.advance(-remaining)`` lands the stream where
-    a purely scalar execution would have left it).  Every per-node
-    generator is ``np.random.default_rng`` (PCG64), which has ``advance``.
-    """
-
-    __slots__ = ("_rngs", "_buffer", "_cursor", "_block", "profiler")
-
-    #: Past this many nodes the prefetch block shrinks: a (n, 32) float64
-    #: buffer is 256MB at n=10^6, and wide blocks only amortize python
-    #: refill overhead, which is already negligible per draw at that n.
-    #: The block size never affects the draw values (prefetch + rewind is
-    #: transparent), so this is purely a memory/speed knob.
-    WIDE_BLOCK_MAX_NODES = 1 << 17
-
-    def __init__(self, rngs: List[np.random.Generator],
-                 block: Optional[int] = None):
-        n = len(rngs)
-        if block is None:
-            block = 32 if n <= self.WIDE_BLOCK_MAX_NODES else 8
-        self._rngs = rngs
-        self._block = block
-        self._buffer = np.zeros((n, block), dtype=np.float64)
-        self._cursor = np.full(n, block, dtype=np.int64)
-        #: Optional :class:`repro.obs.Profiler`; refills then appear as
-        #: ``rng_prefetch`` sections nested in the enclosing vector round.
-        self.profiler = None
-
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """One uniform draw for each node rank in ``idx``, in given order."""
-        cursor = self._cursor
-        buffer = self._buffer
-        exhausted = idx[cursor[idx] >= self._block]
-        if exhausted.size:
-            prof = self.profiler
-            if prof is not None:
-                prof.begin("rng_prefetch")
-            rngs = self._rngs
-            for i in exhausted:
-                buffer[i] = rngs[i].random(self._block)
-            cursor[exhausted] = 0
-            if prof is not None:
-                prof.end()
-        draws = buffer[idx, cursor[idx]]
-        cursor[idx] += 1
-        return draws
-
-    def release(self) -> None:
-        """Rewind every generator to its logically-consumed position."""
-        block = self._block
-        cursor = self._cursor
-        rngs = self._rngs
-        for i in np.nonzero(cursor < block)[0]:
-            rngs[i].bit_generator.advance(-(block - int(cursor[i])))
-        cursor[:] = block
-
-
 class VectorRound:
     """Base class for one algorithm's vectorized whole-network round.
 
@@ -520,15 +451,12 @@ class VectorRound:
         self.state_columns = network.state_columns
         self.loaded = False
         self._pending_energy = np.zeros(self.arrays.n, dtype=np.int64)
-        self.draws = DrawStreams(
-            [network.contexts[node].rng for node in self.arrays.nodes]
-        )
+        self.draws = network.streams  # kernels draw via draws.take(ranks)
         # Observation plumbing, resolved once (mirrors Network.__init__):
         # None when the network is unobserved, so every per-round check in
         # the dense loop is a single ``is not None``.
         self._instrument = network.instrument if network._observed else None
         self._profiler = network._profiler
-        self.draws.profiler = network._profiler
         self._last_alive = 0
         #: Lazily-built (always_on, always_awake, halted) rank masks for
         #: the batched awake-set assembly; valid for one engagement only
@@ -598,7 +526,6 @@ class VectorRound:
                     int(value),
                 )
             pending[:] = 0
-        self.draws.release()
         self.flush_state()
         self._sched_masks = None
         self.loaded = False

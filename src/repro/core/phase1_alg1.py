@@ -166,8 +166,7 @@ class _Phase1Alg1VectorRound(VectorRound):
     assembles a boolean awake mask per round via
     :meth:`VectorRound.pop_scheduled_awake` and masks every reduction with
     it.  All randomness was consumed in ``on_start`` (the one-shot
-    ``marked_round`` sample), so the dense rounds draw nothing and the
-    per-node RNG streams need no rewinding.
+    ``marked_round`` sample), so the dense rounds draw nothing.
 
     Bit-identity hinges on mirroring the scalar receive rules exactly:
 

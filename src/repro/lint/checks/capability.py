@@ -185,7 +185,7 @@ class _MyKernel(VectorRound):
     supports_schedules = True      # declared...
 
     def step_round(self):
-        draws = self.draws.next_block()   # ...but every node acts
+        draws = self.draws.take(self.ranks)   # ...but every node acts
 """
     good_example = """
 class _MyKernel(VectorRound):
@@ -195,7 +195,7 @@ class _MyKernel(VectorRound):
 
     def step_round(self):
         awake = self.pop_scheduled_awake()
-        draws = self.draws.next_block()
+        draws = self.draws.take(np.flatnonzero(awake))
 
     def flush_state(self): ...
 """

@@ -3,10 +3,10 @@
 The repo's correctness story is bit-identical outputs across the
 {legacy, fast, vectorized} engine paths and across ``n_jobs`` worker
 splits.  That only holds while every random draw comes from the engine's
-per-node generators (``ctx.rng`` in hooks, ``self.draws`` in kernels) in
-a deterministic order: ambient RNG, wall-clock reads, and hash-ordered
-iteration each break it in ways the equivalence matrices catch late (or
-only on another machine).
+keyed per-node streams (``ctx.rng`` in hooks, ``self.draws`` in kernels)
+in a deterministic per-node sequence: ambient RNG, wall-clock reads, and
+hash-ordered iteration each break it in ways the equivalence matrices
+catch late (or only on another machine).
 """
 
 from __future__ import annotations
@@ -60,15 +60,15 @@ class AmbientRngCheck(Check):
         "random.* or np.random.*"
     )
     rationale = """
-Every node owns a seeded per-node generator (ctx.rng; kernels read the
-same streams block-wise through DrawStreams). A draw from the random
-module or np.random.* consumes ambient, process-global state instead:
-the draw order then depends on scheduling and worker count, sweeps stop
-being reproducible across n_jobs, and the three engine paths diverge —
-precisely what the equivalence matrix pins. Even a *seeded*
-np.random.default_rng(...) inside a hook is wrong: it forks a stream
-the engine does not account for, so scalar and vectorized rounds replay
-different draw orders.
+Every node owns a keyed random stream (ctx.rng; kernels draw for a whole
+active set through self.draws.take, bumping the same per-node counters).
+A draw from the random module or np.random.* consumes ambient,
+process-global state instead: the values then depend on scheduling and
+worker count, sweeps stop being reproducible across n_jobs, and the
+three engine paths diverge — precisely what the equivalence matrix pins.
+Even a *seeded* np.random.default_rng(...) inside a hook is wrong: it
+forks a stream the engine does not account for, so scalar and
+vectorized rounds replay different draws.
 """
     bad_example = """
 class P(NodeProgram):
@@ -93,12 +93,12 @@ class P(NodeProgram):
                 if reason is None:
                     continue
                 source = "ctx.rng" if kind == "program hook" \
-                    else "self.draws (DrawStreams)"
+                    else "self.draws"
                 yield self.finding(
                     module,
                     node,
                     f"{reason} in {cls_name}.{method} breaks the "
-                    f"deterministic draw order; use the engine-owned "
+                    f"deterministic per-node draws; use the engine-owned "
                     f"{source} instead",
                 )
 

@@ -11,7 +11,7 @@ single, structured way to say what it is doing:
   checks per round (gated ≤5% by ``benchmarks/test_bench_obs.py``).
 * :class:`Profiler` — an instrument carrying nested wall-clock section
   timers over the engine hot spots (scalar rounds, channel delivery,
-  vectorized rounds, RNG draw prefetch, idle fast-forward, algorithm
+  vectorized rounds, idle fast-forward, algorithm
   phases), rendered as a per-run profile tree.
 * :class:`MetricsRegistry` / :class:`MetricsInstrument` —
   counters/gauges/histograms (awake nodes, messages, collisions, ledger

@@ -6,9 +6,7 @@ value is not the event stream but the *time* between paired
 
 * ``round`` — one scalar/cached engine round (``Network.step``), with a
   nested ``deliver`` section for the channel's delivery phase;
-* ``vector_round`` — one vectorized whole-network round, with a nested
-  ``rng_prefetch`` section for the block refills of
-  :class:`~repro.congest.vectorized.DrawStreams`;
+* ``vector_round`` — one vectorized whole-network round;
 * ``idle_ff`` — the O(1) idle fast-forward jumps;
 * ``phase1``/``phase2``/``phase3``/... — the multi-phase drivers wrap each
   phase, so engine sections nest under the phase that ran them.

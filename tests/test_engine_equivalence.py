@@ -126,8 +126,8 @@ def test_three_way_engine_matrix(algorithm, family):
     """fast == legacy == vectorized, bit for bit, for every algorithm.
 
     The vectorized dense-round path must preserve outputs, metrics,
-    per-node ledgers, *and the RNG draw order* (per-node streams are
-    consumed in sorted node order exactly as the scalar loops do). For
+    per-node ledgers, *and every node's draws* (kernels and scalar hooks
+    read and bump the same keyed per-node counters). For
     algorithms without the capability the vectorized mode degrades to the
     cached loop per-network (forcing it network-wide is covered below), so
     the matrix stays total over the registry.
