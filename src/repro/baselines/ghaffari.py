@@ -195,9 +195,6 @@ class _GhaffariVectorRound(VectorRound):
       ``on_receive`` fires even with an empty inbox).
     """
 
-    supports_schedules = False  # always-on: the program never schedules
-    supports_edge_faults = True
-
     def load(self) -> None:
         arrays = self.arrays
         network = self.network

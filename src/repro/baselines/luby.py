@@ -181,8 +181,6 @@ class _LubyVectorRound(VectorRound):
     the scalar path reads its stored inbox).  The clean path is untouched.
     """
 
-    supports_edge_faults = True
-
     def load(self) -> None:
         arrays = self.arrays
         network = self.network

@@ -132,8 +132,6 @@ class _RegularizedLubyVectorRound(VectorRound):
     destroyed copies to the dropped counter.  The clean path is untouched.
     """
 
-    supports_edge_faults = True
-
     def load(self) -> None:
         arrays = self.arrays
         network = self.network

@@ -604,16 +604,6 @@ class Network:
                         else f"{cls.__name__}.vector_round declined this "
                              f"network (heterogeneous program parameters)"
                     )
-                    if (
-                        runner is not None
-                        and getattr(runner, "faults", None) is not None
-                        and not getattr(runner, "supports_edge_faults", False)
-                    ):
-                        runner = None
-                        reason = (
-                            f"{cls.__name__}'s vectorized round does not "
-                            f"support channel fault masks"
-                        )
             cache = (runner, reason)
             self._vector_runner_cache = cache
         runner, reason = cache
@@ -629,31 +619,25 @@ class Network:
         return _ENGINE_MODE
 
     def _try_vector_step(self, runner) -> bool:
-        """Take one vectorized round if the current regime allows it.
+        """Take one vectorized round if *this* round has someone awake.
 
-        Plain runners model a pure always-on population: any scheduled
-        wake anywhere in the future falls back to scalar steps until the
-        calendar drains.  Schedule-aware runners
-        (``VectorRound.supports_schedules``) additionally execute rounds
-        whose active set comes from the wake calendar — the gate only
-        requires that *this* round has someone awake (an always-on node,
-        or a live calendar entry at ``round_index + 1``); the idle gaps
+        Someone is awake when an always-on node is live or the wake
+        calendar has an entry at ``round_index + 1``; the idle gaps
         between scheduled wakes are fast-forwarded by the callers, which
-        retry the vector step after the skip.  Shared by :meth:`run` and
-        :meth:`run_rounds` so the engagement gate cannot diverge between
-        the two loops; flushing back to scalar state is the callers'
-        business (:meth:`_flush_runner`, immediately before a scalar
-        ``step``), so a schedule-aware runner is not thrashed through
-        load/flush cycles at every wake gap.
+        retry the vector step after the skip.  Kernels of programs that
+        schedule wakes assemble each round's active set from the calendar
+        (:meth:`VectorRound.pop_scheduled_awake`); the other kernels only
+        ever see an empty calendar, because their programs never call
+        ``use_wake_schedule`` and node-fault plans keep the runner off.
+        Shared by :meth:`run` and :meth:`run_rounds` so the engagement
+        gate cannot diverge between the two loops; flushing back to
+        scalar state is the callers' business (:meth:`_flush_runner`,
+        immediately before a scalar ``step``), so a runner is not thrashed
+        through load/flush cycles at every wake gap.
         """
         if runner is None:
             return False
-        if self._always_on and not self._wake_calendar:
-            runner.step()
-            return True
-        if runner.supports_schedules and self._wake_calendar and (
-            self._always_on or (self.round_index + 1) in self._wake_calendar
-        ):
+        if self._always_on or (self.round_index + 1) in self._wake_calendar:
             runner.step()
             return True
         return False

@@ -238,13 +238,12 @@ class NodeProgram:
     #: (typically a classmethod); the factory may inspect the network and
     #: return ``None`` to decline (e.g. heterogeneous per-node parameters
     #: the kernel cannot flatten). ``None`` here means the engine always
-    #: uses the scalar per-node loops. Runners come in two flavours:
-    #: always-on kernels (engaged only while the wake calendar is empty)
-    #: and schedule-aware kernels (``supports_schedules = True``), which
-    #: assemble each round's active set from the calendar via
-    #: :meth:`VectorRound.pop_scheduled_awake` and so also cover
-    #: sleep-scheduled phases like the paper's Phase I. Declaring the
-    #: capability is a promise of *bit-identical* semantics — outputs,
+    #: uses the scalar per-node loops. Every kernel must honour the
+    #: channel's fault masks (``VectorRound.faults``), and a kernel whose
+    #: program schedules wakes must assemble each round's active set from
+    #: the calendar via :meth:`VectorRound.pop_scheduled_awake` — that is
+    #: how sleep-scheduled phases like the paper's Phase I run dense.
+    #: Providing a kernel is a promise of *bit-identical* semantics — outputs,
     #: metrics, ledger, traces, and per-node draw counters — which
     #: ``tests/test_engine_equivalence.py`` enforces for every registered
     #: algorithm.

@@ -440,9 +440,9 @@ class VectorRound:
         #: The check sees through fault wrappers to the base medium.
         self.priced = not isinstance(network.channel.unwrapped(), LocalChannel)
         #: Channel-fault state (per-round keep masks over CSR edge slots),
-        #: or None for a clean channel. Subclasses that consume the masks
-        #: declare ``supports_edge_faults = True``; the engine refuses to
-        #: engage a runner whose faults it would silently ignore.
+        #: or None for a clean channel. Every kernel must route its
+        #: deliveries through :meth:`fault_keep` when this is set;
+        #: ``tests/test_faults_matrix.py`` fails for one that does not.
         self.faults = network.channel.vector_faults(self.arrays)
         #: The network's schema-declared state columns (see
         #: ``repro.congest.state``). Never None here: the engine declines
@@ -464,17 +464,6 @@ class VectorRound:
         #: :meth:`flush` drops them.
         self._sched_masks = None
         _VECTOR_STATS["networks"] += 1
-
-    #: Whether :meth:`step_round` consults :meth:`fault_keep` masks.
-    supports_edge_faults = False
-
-    #: Whether :meth:`step_round` assembles its active set from the wake
-    #: calendar (via :meth:`pop_scheduled_awake`) instead of assuming the
-    #: pure always-on population.  Runners that leave this False are only
-    #: engaged while the calendar is empty; schedule-aware runners also
-    #: execute rounds with scheduled wakes (the engine still fast-forwards
-    #: the idle gaps between them).
-    supports_schedules = False
 
     # -- subclass API ---------------------------------------------------
     def load(self) -> None:

@@ -179,9 +179,6 @@ class _Phase1Alg1VectorRound(VectorRound):
       scalar program does too, and the column must follow).
     """
 
-    supports_schedules = True
-    supports_edge_faults = True
-
     def load(self) -> None:
         arrays = self.arrays
         network = self.network

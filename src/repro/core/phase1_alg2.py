@@ -322,9 +322,6 @@ class _Phase1Alg2VectorRound(VectorRound):
     JOIN (the one boundary where the scalar path would read it).
     """
 
-    supports_schedules = True
-    supports_edge_faults = True
-
     def load(self) -> None:
         arrays = self.arrays
         network = self.network

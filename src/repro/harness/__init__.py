@@ -17,6 +17,7 @@ from .parallel import (
     use_resilience,
 )
 from .runner import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     RADIO_SAFE_ALGORITHMS,
     VECTOR_CAPABLE_ALGORITHMS,
@@ -33,6 +34,7 @@ from .sweep import SweepPoint, series, sweep
 from .tables import format_table, section
 
 __all__ = [
+    "ALGORITHM_TABLE",
     "ALGORITHMS",
     "DESCRIPTIONS",
     "RADIO_SAFE_ALGORITHMS",

@@ -4,23 +4,32 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 import networkx as nx
 
 from ..analysis import verify_mis
 from ..baselines import (
+    GhaffariProgram,
+    LubyProgram,
+    RadioDecayProgram,
+    RegularizedLubyProgram,
     ghaffari_mis,
     luby_mis,
     radio_decay_mis,
     regularized_luby_mis,
 )
 from ..core import (
+    Phase1Alg1Program,
+    Phase1Alg2Program,
     algorithm1,
     algorithm1_constant_average_energy,
     algorithm2,
     algorithm2_constant_average_energy,
 )
+from ..core.average_energy import Lemma42Program
 from ..graphs import make_family
 from ..obs import (
     CompositeInstrument,
@@ -34,72 +43,73 @@ from ..obs import (
 from ..result import MISResult
 from .parallel import parallel_map
 
-ALGORITHMS: Dict[str, Callable[..., MISResult]] = {
-    "luby": luby_mis,
-    "regularized_luby": regularized_luby_mis,
-    "ghaffari2016": ghaffari_mis,
-    "algorithm1": algorithm1,
-    "algorithm2": algorithm2,
-    "algorithm1_avg": algorithm1_constant_average_energy,
-    "algorithm2_avg": algorithm2_constant_average_energy,
-    "radio_decay": radio_decay_mis,
+
+class AlgorithmRow(NamedTuple):
+    """One registered algorithm: its driver and what its networks run."""
+
+    driver: Callable[..., MISResult]
+    #: Every node-program class the driver's networks may run.
+    programs: Tuple[type, ...]
+    #: Sound on the shared radio medium (half-duplex, collisions):
+    #: point-to-point algorithms silently lose messages there, so
+    #: :func:`run_algorithm` refuses the combination for anything else.
+    radio_safe: bool = False
+
+
+#: The single source for every per-algorithm fact; the registries below
+#: are derived from it.
+ALGORITHM_TABLE: Dict[str, AlgorithmRow] = {
+    "luby": AlgorithmRow(luby_mis, (LubyProgram,)),
+    "regularized_luby": AlgorithmRow(
+        regularized_luby_mis, (RegularizedLubyProgram,)
+    ),
+    "ghaffari2016": AlgorithmRow(ghaffari_mis, (GhaffariProgram,)),
+    # The paper's pipelines: Phase I runs the named program, Phases II/III
+    # both run GhaffariProgram networks.
+    "algorithm1": AlgorithmRow(
+        algorithm1, (Phase1Alg1Program, GhaffariProgram)
+    ),
+    "algorithm2": AlgorithmRow(
+        algorithm2, (Phase1Alg2Program, GhaffariProgram)
+    ),
+    # Section 4's wrappers add Lemma 4.2's simulation (no dense-round
+    # kernel) and a sparsifier that runs Phase1Alg1Program for both.
+    "algorithm1_avg": AlgorithmRow(
+        algorithm1_constant_average_energy,
+        (Phase1Alg1Program, GhaffariProgram, Lemma42Program),
+    ),
+    "algorithm2_avg": AlgorithmRow(
+        algorithm2_constant_average_energy,
+        (Phase1Alg2Program, GhaffariProgram, Lemma42Program,
+         Phase1Alg1Program),
+    ),
+    "radio_decay": AlgorithmRow(
+        radio_decay_mis, (RadioDecayProgram,), radio_safe=True
+    ),
 }
 
-#: Algorithms whose protocol is sound on the shared radio medium (half-
-#: duplex, collisions): point-to-point algorithms silently lose messages
-#: there, so the CLI refuses the combination for anything else.
-RADIO_SAFE_ALGORITHMS = frozenset({"radio_decay"})
+#: Name -> driver. ``run_algorithm`` and the dynamic maintainer call
+#: through this dict, so replacing an entry reroutes every run.
+ALGORITHMS: Dict[str, Callable[..., MISResult]] = {
+    name: row.driver for name, row in ALGORITHM_TABLE.items()
+}
 
-def _program_classes() -> Dict[str, Tuple[type, ...]]:
-    """Program classes each registered algorithm's networks may run.
+RADIO_SAFE_ALGORITHMS = frozenset(
+    name for name, row in ALGORITHM_TABLE.items() if row.radio_safe
+)
 
-    Derived lazily (imports stay at the call site to avoid import cycles)
-    and used to *compute* the vector capability set instead of hand-listing
-    it — adding ``vector_round`` to a program class is then sufficient for
-    the harness, the CLI, and the never-silently-falls-back CI gate to pick
-    the algorithm up.
-    """
-    from ..baselines.ghaffari import GhaffariProgram
-    from ..baselines.luby import LubyProgram
-    from ..baselines.radio_decay import RadioDecayProgram
-    from ..baselines.regularized_luby import RegularizedLubyProgram
-    from ..core.average_energy import Lemma42Program
-    from ..core.phase1_alg1 import Phase1Alg1Program
-    from ..core.phase1_alg2 import Phase1Alg2Program
-
-    return {
-        "luby": (LubyProgram,),
-        "regularized_luby": (RegularizedLubyProgram,),
-        "ghaffari2016": (GhaffariProgram,),
-        # The paper's pipelines: Phase I runs the named program, Phases
-        # II/III both run GhaffariProgram networks.
-        "algorithm1": (Phase1Alg1Program, GhaffariProgram),
-        "algorithm2": (Phase1Alg2Program, GhaffariProgram),
-        # The constant-average-energy wrappers add Lemma 4.2's simulation
-        # harness, whose program has no dense-round kernel (yet).
-        "algorithm1_avg": (Phase1Alg1Program, GhaffariProgram, Lemma42Program),
-        "algorithm2_avg": (Phase1Alg2Program, GhaffariProgram, Lemma42Program),
-        "radio_decay": (RadioDecayProgram,),
-    }
-
-
-def _vector_capable() -> frozenset:
-    return frozenset(
-        name
-        for name, classes in _program_classes().items()
-        if all(callable(cls.vector_round) for cls in classes)
-    )
-
-
-#: Algorithms every one of whose node programs declares the vectorized
-#: dense-round capability (``NodeProgram.vector_round``) — derived from the
-#: registry at import time, not hand-maintained. For these the engine's
+#: Algorithms every one of whose node programs has a dense-round kernel
+#: (``NodeProgram.vector_round``). For these the engine's
 #: ``"vectorized"``/default ``"auto"`` mode executes dense rounds as
 #: whole-network numpy steps; ``tests/test_engine_equivalence.py`` both
 #: proves the path bit-identical to fast/legacy for *every* registered
 #: algorithm and fails if it silently never engages for an algorithm
 #: listed here.
-VECTOR_CAPABLE_ALGORITHMS = _vector_capable()
+VECTOR_CAPABLE_ALGORITHMS = frozenset(
+    name
+    for name, row in ALGORITHM_TABLE.items()
+    if all(callable(cls.vector_round) for cls in row.programs)
+)
 
 
 def run_algorithm(

@@ -2,8 +2,8 @@
 
 An ``ast``-based analyzer whose checks encode this repo's real bug
 classes: schema-contract violations (RL1xx), determinism hazards
-(RL2xx), per-round object escapes (RL3xx), and capability drift between
-declarations and implementations (RL4xx).
+(RL2xx), per-round object escapes (RL3xx), and vector-kernel protocol
+gaps (RL4xx).
 
 Run it as ``python -m repro lint [paths...]``; see
 ``python -m repro lint --list`` for the check battery and

@@ -9,13 +9,7 @@ from __future__ import annotations
 from typing import List, Optional, Type
 
 from .base import Check
-from .capability import (
-    EdgeFaultDriftCheck,
-    KernelProtocolCheck,
-    RegistryDriftCheck,
-    ScheduleDriftCheck,
-    VectorFactoryCheck,
-)
+from .capability import KernelProtocolCheck, VectorFactoryCheck
 from .determinism import (
     AmbientRngCheck,
     UnorderedIterationCheck,
@@ -30,6 +24,8 @@ from .schema import (
 
 #: Every registered check, in report order. IDs are stable: retired IDs
 #: are never reused, new checks take the next free number in their band.
+#: Retired: RL402-RL404, which policed kernel capability flags and a
+#: second program-class registry that no longer exist.
 ALL_CHECKS: List[Type[Check]] = [
     UndeclaredStateCheck,  # RL101
     WidthReferenceCheck,  # RL102
@@ -40,9 +36,6 @@ ALL_CHECKS: List[Type[Check]] = [
     CtxEscapeCheck,  # RL301
     InboxEscapeCheck,  # RL302
     KernelProtocolCheck,  # RL401
-    EdgeFaultDriftCheck,  # RL402
-    ScheduleDriftCheck,  # RL403
-    RegistryDriftCheck,  # RL404
     VectorFactoryCheck,  # RL405
 ]
 

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Repo-specific static analysis: schema contracts (RL1xx), "
             "determinism (RL2xx), escape analysis (RL3xx) and "
-            "capability drift (RL4xx) for NodeProgram / VectorRound "
+            "kernel protocol (RL4xx) for NodeProgram / VectorRound "
             "code."
         ),
     )

@@ -12,8 +12,7 @@ about into a :class:`ModuleModel`:
 * each program class's declared state surface: ``state_schema()`` fields
   (parsed from the literal ``StateField(...)`` tuple), attributes staged
   in ``__init__``, class-level attributes, methods and properties;
-* each kernel class's capability flags (``supports_schedules`` /
-  ``supports_edge_faults``) and implemented methods.
+* each kernel class's implemented methods (own and inherited).
 
 Everything is a plain syntactic summary — no imports are executed, so the
 linter runs on broken or heavyweight modules equally well.
@@ -92,14 +91,8 @@ class KernelClass:
 
     node: ast.ClassDef
     name: str
-    #: Explicit class-body boolean assignments, e.g.
-    #: ``{"supports_schedules": True}``; absent keys were not declared.
-    flags: Dict[str, bool]
     methods: Dict[str, ast.FunctionDef]
     ancestors: List[str] = field(default_factory=list)
-
-    def flag(self, name: str) -> Optional[bool]:
-        return self.flags.get(name)
 
 
 @dataclass
@@ -186,8 +179,6 @@ def build_module_model(source: str, path: str) -> ModuleModel:
                 continue
             for method_name, fn in parent.methods.items():
                 cls.methods.setdefault(method_name, fn)
-            for flag, value in parent.flags.items():
-                cls.flags.setdefault(flag, value)
 
     return ModuleModel(
         path=path,
@@ -305,23 +296,14 @@ def _build_program_class(
 def _build_kernel_class(
     node: ast.ClassDef, ancestors: List[str]
 ) -> KernelClass:
-    flags: Dict[str, bool] = {}
-    methods: Dict[str, ast.FunctionDef] = {}
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods[item.name] = item  # type: ignore[assignment]
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and isinstance(item.value, ast.Constant)
-                    and isinstance(item.value.value, bool)
-                ):
-                    flags[target.id] = item.value.value
+    methods: Dict[str, ast.FunctionDef] = {
+        item.name: item  # type: ignore[misc]
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     return KernelClass(
         node=node,
         name=node.name,
-        flags=flags,
         methods=methods,
         ancestors=ancestors,
     )

@@ -1,0 +1,38 @@
+"""One homogeneous program population per kernel-bearing program class.
+
+Shared by the engine-equivalence and fault-matrix suites so both cover the
+same five dense-round kernels. Not a test module (pytest only collects
+``test_*.py``).
+"""
+
+import networkx as nx
+
+from repro.baselines import LubyProgram, RegularizedLubyProgram
+from repro.baselines.ghaffari import GhaffariProgram
+from repro.core.config import DEFAULT_CONFIG
+from repro.core.phase1_alg1 import Phase1Alg1Program
+from repro.core.phase1_alg2 import Phase1Alg2Program
+from repro.graphs.properties import max_degree
+
+
+def kernel_programs(graph):
+    """Per kernel-bearing class name, a zero-argument program factory.
+
+    The Phase I budgets are explicit: the default config gives zero
+    Phase I iterations at test sizes.
+    """
+    delta = max(2, max_degree(graph))
+    return {
+        "LubyProgram": LubyProgram,
+        "RegularizedLubyProgram": lambda: RegularizedLubyProgram(4, 3, delta),
+        "GhaffariProgram": lambda: GhaffariProgram(
+            iterations=10, executions=3
+        ),
+        "Phase1Alg1Program": lambda: Phase1Alg1Program(4, 8, delta, 10.0),
+        "Phase1Alg2Program": lambda: Phase1Alg2Program(
+            delta, 6, DEFAULT_CONFIG
+        ),
+    }
+
+
+KERNEL_PROGRAMS = sorted(kernel_programs(nx.path_graph(3)))

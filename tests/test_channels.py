@@ -305,13 +305,27 @@ class TestStaleViewGuard:
         assert [(m.sender, m.payload) for m in copies["inbox"]] == [(1, 0)]
 
 
+def _radio_unsafe_algorithms():
+    from repro.harness import ALGORITHMS, RADIO_SAFE_ALGORITHMS
+
+    return sorted(set(ALGORITHMS) - RADIO_SAFE_ALGORITHMS)
+
+
 class TestRadioSafety:
-    def test_point_to_point_algorithm_refused_on_broadcast(self):
+    @pytest.mark.parametrize(
+        "channel", ["broadcast", "lossy(drop=0.1,seed=1):broadcast"]
+    )
+    @pytest.mark.parametrize("algorithm", _radio_unsafe_algorithms())
+    def test_point_to_point_algorithm_refused_on_broadcast(
+        self, algorithm, channel
+    ):
+        """Every algorithm outside the radio-safe set is refused on the
+        radio medium, also behind a fault wrapper (``unwrapped()``)."""
         from repro.harness import run_algorithm
 
         graph = graphs.make_family("grid", 25, seed=0)
         with pytest.raises(ValueError, match="unsound on the shared radio"):
-            run_algorithm("luby", graph, channel="broadcast")
+            run_algorithm(algorithm, graph, channel=channel)
 
     def test_radio_safe_and_reliable_combos_allowed(self):
         from repro.harness import run_algorithm

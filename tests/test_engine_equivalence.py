@@ -47,6 +47,8 @@ from repro.harness import (
     run_algorithm,
 )
 
+from kernel_programs import KERNEL_PROGRAMS, kernel_programs
+
 FAMILIES = ["gnp_log_degree", "geometric", "grid"]
 N = 64
 
@@ -169,7 +171,9 @@ def test_vector_capable_algorithms_never_silently_fall_back(algorithm):
     )
 
 
-@pytest.mark.parametrize("algorithm", ["radio_decay", "algorithm1_avg"])
+@pytest.mark.parametrize(
+    "algorithm", sorted(set(ALGORITHMS) - VECTOR_CAPABLE_ALGORITHMS)
+)
 def test_forced_vectorized_raises_for_incapable_programs(algorithm):
     """Forcing the vectorized engine on an algorithm outside the derived
     capability set must raise, not silently run scalar (radio_decay's
@@ -210,30 +214,6 @@ def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
         assert ledger_snapshot == reference_ledger, mode
 
 
-def _kernel_programs(graph):
-    """One homogeneous program population per kernel-bearing class."""
-    from repro.baselines import RegularizedLubyProgram
-    from repro.baselines.ghaffari import GhaffariProgram
-    from repro.core.config import DEFAULT_CONFIG
-    from repro.core.phase1_alg1 import Phase1Alg1Program
-    from repro.core.phase1_alg2 import Phase1Alg2Program
-    from repro.graphs.properties import max_degree
-
-    delta = max(2, max_degree(graph))
-    return {
-        "LubyProgram": LubyProgram,
-        "RegularizedLubyProgram": lambda: RegularizedLubyProgram(4, 3, delta),
-        "GhaffariProgram": lambda: GhaffariProgram(
-            iterations=10, executions=3
-        ),
-        "Phase1Alg1Program": lambda: Phase1Alg1Program(4, 8, delta, 10.0),
-        "Phase1Alg2Program": lambda: Phase1Alg2Program(
-            delta, 6, DEFAULT_CONFIG
-        ),
-    }
-
-
-KERNEL_PROGRAMS = sorted(_kernel_programs(nx.path_graph(3)))
 
 
 class TestStateColumns:
@@ -265,7 +245,7 @@ class TestStateColumns:
     @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
     def test_kernel_bearing_population_binds_columns(self, program):
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-        make = _kernel_programs(graph)[program]
+        make = kernel_programs(graph)[program]
         programs = {v: make() for v in graph.nodes}
         schema = type(next(iter(programs.values()))).state_schema()
         assert schema, program
@@ -302,7 +282,7 @@ class TestStateColumns:
         rounds leave. Halted rows are never read again, and kernels may
         leave per-round scratch flags there that a scalar run keeps."""
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-        make = _kernel_programs(graph)[program]
+        make = kernel_programs(graph)[program]
 
         def fresh():
             return Network(

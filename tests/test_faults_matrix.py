@@ -6,17 +6,23 @@ active lossy channel (and, for radio algorithms, under adversarial
 jamming) on every engine path that supports it. Fault runs are allowed to
 produce degraded MIS quality — that is the point of the F-series
 experiments — but they must never hang, crash, or lose determinism.
+
+It is also the check that every dense-round kernel honours the channel's
+fault masks (``VectorRound.faults``): kernels declare no capability, so a
+kernel that ignored them would run fault-free rounds here.
 """
 
 import pytest
 
-from repro.congest import set_engine_mode
+from repro.congest import Network, set_engine_mode
 from repro.graphs import make_family
 from repro.harness import ALGORITHMS, run_algorithm
 from repro.harness.runner import (
     RADIO_SAFE_ALGORITHMS,
     VECTOR_CAPABLE_ALGORITHMS,
 )
+
+from kernel_programs import KERNEL_PROGRAMS, kernel_programs
 
 N = 24
 SEED = 5
@@ -74,3 +80,29 @@ def test_faulty_run_terminates_deterministically(algorithm, channel, engine):
         assert first.metrics.messages_dropped > 0
     else:
         assert first.metrics.collisions > 0
+
+
+def _kernel_trace(program, channel):
+    graph = make_family("gnp_log_degree", 96, seed=3)
+    make = kernel_programs(graph)[program]
+    network = Network(
+        graph, {v: make() for v in graph.nodes}, seed=11, channel=channel,
+        trace=True,
+    )
+    network.run(engine="vectorized")
+    assert network.vector_rounds > 0, program
+    return {record.round_index: record for record in network.trace.records}
+
+
+@pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+def test_every_kernel_applies_channel_fault_masks(program):
+    """Until the first round that delivers anything on a clean channel, a
+    lossy run acts exactly like the clean one (fault draws are independent
+    of node draws, and a keep mask can only remove deliveries), so that
+    round sends the same messages; a kernel that honours the keep masks
+    must then deliver fewer of them."""
+    clean = _kernel_trace(program, "congest")
+    lossy = _kernel_trace(program, "lossy(drop=0.5,seed=3):congest")
+    first = min(r for r, record in clean.items() if record.messages_delivered)
+    assert lossy[first].messages_sent == clean[first].messages_sent
+    assert lossy[first].messages_delivered < clean[first].messages_delivered

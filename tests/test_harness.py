@@ -4,6 +4,7 @@ import pytest
 
 from repro import graphs
 from repro.harness import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     DESCRIPTIONS,
     REGISTRY,
@@ -15,6 +16,7 @@ from repro.harness import (
     series,
     sweep,
 )
+from repro.obs import Instrument
 
 
 class TestRunner:
@@ -33,6 +35,42 @@ class TestRunner:
         }
         assert outcome["collisions"] == 0.0  # point-to-point channel
         assert outcome["independent"] == 1.0
+
+
+class _ProgramRecorder(Instrument):
+    """Collects the program classes of every network a run builds."""
+
+    def __init__(self):
+        self.classes = set()
+
+    def on_run_start(self, network):
+        self.classes |= {type(p) for p in network.programs.values()}
+
+
+#: ``dense`` is dense enough that Phase I runs for algorithm1/algorithm2
+#: (at n <= 300 on the log-degree, grid and geometric families only the
+#: later phases' GhaffariProgram networks appear).
+TABLE_GRAPHS = {
+    "sparse": lambda: graphs.make_family("gnp_log_degree", 64, seed=5),
+    "dense": lambda: graphs.gnp_expected_degree(250, 120.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("graph_kind", sorted(TABLE_GRAPHS))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_table_lists_every_program_class_the_driver_runs(algorithm,
+                                                         graph_kind):
+    """The algorithm table's program classes are what the derived
+    capability sets are computed from, so every network a driver builds
+    must run a class its row lists."""
+    row = ALGORITHM_TABLE[algorithm]
+    recorder = _ProgramRecorder()
+    run_algorithm(algorithm, TABLE_GRAPHS[graph_kind](), seed=1,
+                  instrument=recorder)
+    assert recorder.classes <= set(row.programs)
+    if graph_kind == "dense":
+        # The row's first class is Phase I's program (or the only one).
+        assert row.programs[0] in recorder.classes
 
 
 class TestSweep:
