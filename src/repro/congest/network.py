@@ -33,15 +33,20 @@ rounds:
   spans), but a batch of them costs O(1);
 * :meth:`Network.step` avoids per-round re-sorting of the awake set, builds
   inboxes lazily, and skips all trace bookkeeping when tracing is off;
-* dense always-on stretches of programs that declare the vectorized-round
-  capability (``NodeProgram.vector_round``) execute whole-network numpy
-  rounds (see ``repro.congest.vectorized``) instead of per-node python.
+* programs that declare the vectorized-round capability
+  (``NodeProgram.vector_round``) execute whole-network numpy rounds (see
+  ``repro.congest.vectorized``) instead of per-node python in every round
+  someone is awake: dense always-on stretches and the sleep-scheduled
+  rounds of the paper's Phase I kernels alike (the kernel builds each
+  round's awake mask from the wake calendar).
 
 ``Network.run(engine="legacy")`` (or the :func:`engine_mode` scope) restores
 the naive one-``step``-per-round loop; :func:`engine_mode` selects between
-``auto``/``fast``/``legacy``/``vectorized`` globally. All paths are
-bit-identical in outputs, metrics, and ledger state (see
-``tests/test_engine_equivalence.py``).
+``auto``/``fast``/``legacy``/``vectorized`` globally. With no channel
+fault active, all paths are bit-identical in outputs, metrics, and ledger
+state (see ``tests/test_engine_equivalence.py``); under an active channel
+fault the vectorized path draws its drops per CSR edge slot, so it sees a
+different fault pattern than the scalar paths.
 
 Programs that declare a ``state_schema()`` keep their per-node state in
 flat network-owned columns (see :mod:`repro.congest.state`); the
@@ -69,10 +74,10 @@ from .vectorized import GraphArrays
 
 #: Engine paths selectable per run or globally (see :func:`engine_mode`):
 #:
-#: * ``"auto"`` (default) — the vectorized dense-round path when the
-#:   program declares the capability (and the channel supports it, and the
-#:   graph is big enough to amortize numpy overhead), else the cached fast
-#:   loop with idle fast-forward;
+#: * ``"auto"`` (default) — the vectorized round path, for always-on and
+#:   wake-scheduled rounds alike, when the program declares the capability
+#:   (and the channel supports it, and the graph is big enough to amortize
+#:   numpy overhead), else the cached fast loop with idle fast-forward;
 #: * ``"fast"`` — the cached round loop, never vectorized;
 #: * ``"legacy"`` — the naive one-``step``-per-round seed loop;
 #: * ``"vectorized"`` — like auto, but *raises*
@@ -661,16 +666,18 @@ class Network:
     ) -> RunMetrics:
         """Run until no node will ever wake again (or ``max_rounds``).
 
-        Three engine paths, all bit-identical in outputs, metrics, and
-        ledger state (``tests/test_engine_equivalence.py``):
+        Three engine paths, bit-identical in outputs, metrics, and ledger
+        state when no channel fault is active
+        (``tests/test_engine_equivalence.py``):
 
         * the default fast path jumps over idle stretches (rounds where no
           node is awake) in O(1) per stretch and runs a cached round loop;
         * ``engine="legacy"`` (or the module-level :func:`engine_mode`
           scope) steps every round the naive way;
-        * dense always-on stretches of capability-declaring programs run
-          through the vectorized round path (``engine="vectorized"`` to
-          require it, ``engine="fast"`` to forbid it; default ``"auto"``).
+        * every round with someone awake — always-on or wake-scheduled —
+          of capability-declaring programs runs through the vectorized
+          round path (``engine="vectorized"`` to require it,
+          ``engine="fast"`` to forbid it; default ``"auto"``).
         """
         if not self._started:
             self.start()

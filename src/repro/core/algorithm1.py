@@ -23,15 +23,12 @@ from typing import Optional
 
 import networkx as nx
 
-from ..congest import EnergyLedger, channel_scope
-from ..congest.metrics import RunMetrics
+from ..congest import EnergyLedger
 from ..congest.vectorized import GraphArrays
-from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase1_alg1 import run_phase1_alg1
-from .phase2 import run_phase2
-from .phase3 import _derive_seed, run_phase3
+from .pipeline import three_phase_mis
 
 
 def algorithm1(
@@ -70,67 +67,8 @@ def algorithm1(
         ``mis`` is independent always and maximal w.h.p.; ``metrics``
         carries the total rounds and the per-phase breakdown.
     """
-    if graph.number_of_nodes() == 0:
-        raise ValueError("algorithm1 needs a non-empty graph")
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
-
-    instrument = current_instrument()
-    prof = instrument.profiler
-    with channel_scope(channel):
-        instrument.on_phase_start("phase1")
-        with section_scope(prof, "phase1"):
-            phase1 = run_phase1_alg1(
-                graph,
-                seed=_derive_seed(seed, 1),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-            )
-        instrument.on_phase_end("phase1", phase1.metrics)
-
-        residual = phase1.residual
-        instrument.on_phase_start("phase2")
-        with section_scope(prof, "phase2"):
-            phase2 = run_phase2(
-                residual,
-                seed=_derive_seed(seed, 2),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-            )
-        instrument.on_phase_end("phase2", phase2.metrics)
-
-        instrument.on_phase_start("phase3")
-        with section_scope(prof, "phase3"):
-            phase3 = run_phase3(
-                phase2.components,
-                seed=_derive_seed(seed, 3),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-                variant="alg1",
-            )
-        instrument.on_phase_end("phase3", phase3.metrics)
-
-    mis = phase1.joined | phase2.joined | phase3.joined
-    metrics = RunMetrics.combine_sequential(
-        {
-            "phase1": phase1.metrics,
-            "phase2": phase2.metrics,
-            "phase3": phase3.metrics,
-        },
-        ledger=ledger,
-    )
-    return MISResult(
-        mis=mis,
-        metrics=metrics,
-        algorithm="algorithm1",
-        details={
-            "phase1": phase1.details,
-            "phase2": phase2.details,
-            "phase3": phase3.details,
-            "undecided": sorted(phase3.remaining),
-        },
+    return three_phase_mis(
+        graph, seed, config, ledger, size_bound, channel,
+        name="algorithm1", phase1_runner=run_phase1_alg1,
+        salts=(1, 2, 3), variant="alg1",
     )

@@ -15,15 +15,12 @@ from typing import Optional
 
 import networkx as nx
 
-from ..congest import EnergyLedger, channel_scope
-from ..congest.metrics import RunMetrics
+from ..congest import EnergyLedger
 from ..congest.vectorized import GraphArrays
-from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase1_alg2 import run_phase1_alg2
-from .phase2 import run_phase2
-from .phase3 import _derive_seed, run_phase3
+from .pipeline import three_phase_mis
 
 
 def algorithm2(
@@ -43,67 +40,8 @@ def algorithm2(
     the phase mix — faster overall rounds at slightly higher
     (``log² log n`` vs ``log log n``) energy.
     """
-    if graph.number_of_nodes() == 0:
-        raise ValueError("algorithm2 needs a non-empty graph")
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
-
-    instrument = current_instrument()
-    prof = instrument.profiler
-    with channel_scope(channel):
-        instrument.on_phase_start("phase1")
-        with section_scope(prof, "phase1"):
-            phase1 = run_phase1_alg2(
-                graph,
-                seed=_derive_seed(seed, 101),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-            )
-        instrument.on_phase_end("phase1", phase1.metrics)
-
-        residual = phase1.residual
-        instrument.on_phase_start("phase2")
-        with section_scope(prof, "phase2"):
-            phase2 = run_phase2(
-                residual,
-                seed=_derive_seed(seed, 102),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-            )
-        instrument.on_phase_end("phase2", phase2.metrics)
-
-        instrument.on_phase_start("phase3")
-        with section_scope(prof, "phase3"):
-            phase3 = run_phase3(
-                phase2.components,
-                seed=_derive_seed(seed, 103),
-                config=config,
-                ledger=ledger,
-                size_bound=n,
-                variant="alg2",
-            )
-        instrument.on_phase_end("phase3", phase3.metrics)
-
-    mis = phase1.joined | phase2.joined | phase3.joined
-    metrics = RunMetrics.combine_sequential(
-        {
-            "phase1": phase1.metrics,
-            "phase2": phase2.metrics,
-            "phase3": phase3.metrics,
-        },
-        ledger=ledger,
-    )
-    return MISResult(
-        mis=mis,
-        metrics=metrics,
-        algorithm="algorithm2",
-        details={
-            "phase1": phase1.details,
-            "phase2": phase2.details,
-            "phase3": phase3.details,
-            "undecided": sorted(phase3.remaining),
-        },
+    return three_phase_mis(
+        graph, seed, config, ledger, size_bound, channel,
+        name="algorithm2", phase1_runner=run_phase1_alg2,
+        salts=(101, 102, 103), variant="alg2",
     )

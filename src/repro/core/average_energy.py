@@ -32,29 +32,22 @@ leftovers).
 from __future__ import annotations
 
 import math
-from typing import Optional, Set
+from typing import Optional
 
 import networkx as nx
 import numpy as np
 
-from ..congest import (
-    EnergyLedger,
-    Network,
-    NodeProgram,
-    StateField,
-    channel_scope,
-)
-from ..congest.metrics import RunMetrics
+from ..congest import EnergyLedger, NodeProgram, StateField, channel_scope
 from ..congest.vectorized import GraphArrays, graph_csr
 from ..graphs.properties import induced_subgraph, max_degree
-from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
 from .phase1_alg1 import Phase1Alg1Program, run_phase1_alg1
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
 from .phase3 import _derive_seed, run_phase3
-from .phase_result import PhaseResult
+from .phase_result import PhaseResult, run_network_phase
+from .pipeline import combine_phases, driver_inputs, observed_phase
 
 
 class Lemma42Program(NodeProgram):
@@ -239,18 +232,6 @@ def run_lemma42(
     ``remaining`` is ``A ∪ F``; callers split it via the details.
     """
     n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None and graph.number_of_nodes() > 0:
-        ledger = EnergyLedger(graph.nodes)
-
-    if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(set(), set(), set(), empty,
-                           details={"failed": set(), "reduced": set(),
-                                    "iterations": 0},
-                           residual=graph_csr(graph))
-
-    before = ledger.snapshot()
     delta2 = max_degree(graph)
     target = max(
         1.0, loglog2n(n) ** max(1.0, config.avg_truncation)
@@ -262,15 +243,11 @@ def run_lemma42(
         config.avg_round_factor * loglog2n(n)
     ))
 
-    if iterations == 0:
-        metrics = RunMetrics.from_snapshots(
-            0, before, ledger.snapshot(), graph.nodes
-        )
-        return PhaseResult(
-            joined=set(), dominated=set(), remaining=set(graph.nodes),
-            metrics=metrics,
-            details={"failed": set(), "reduced": set(graph.nodes),
-                     "iterations": 0, "delta2": delta2},
+    if iterations == 0 or graph.number_of_nodes() == 0:
+        return PhaseResult.idle(
+            graph.nodes,
+            {"failed": set(), "reduced": set(graph.nodes),
+             "iterations": 0, "delta2": delta2},
             residual=graph_csr(graph),
         )
 
@@ -279,44 +256,19 @@ def run_lemma42(
                              config, n)
         for node in graph.nodes
     }
-    network = Network(graph, programs, seed=seed, ledger=ledger, size_bound=n)
-    total_rounds = iterations * (2 * rounds_per_iteration + 3)
-    network.run_rounds(total_rounds)
-
-    joined = {v for v, f in network.outputs("joined").items() if f}
-    failed = {v for v, f in network.outputs("failed").items() if f}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    failed -= joined | dominated
-    reduced = set(graph.nodes) - joined - dominated - failed
-    reduced_graph = induced_subgraph(graph, reduced)
-
-    metrics = RunMetrics.from_snapshots(
-        total_rounds, before, ledger.snapshot(), graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
+    result, _ = run_network_phase(
+        graph, programs, iterations * (2 * rounds_per_iteration + 3),
+        seed=seed, ledger=ledger, size_bound=n, set_aside="failed",
     )
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=reduced | failed,
-        metrics=metrics,
-        details={
-            "failed": failed,
-            "reduced": reduced,
-            "iterations": iterations,
-            "rounds_per_iteration": rounds_per_iteration,
-            "delta2": delta2,
-            "reduced_max_degree": max_degree(reduced_graph),
-        },
-        residual=reduced_graph,
-    )
-    result.check_partition(set(graph.nodes))
+    reduced = set(result.residual.nodes)
+    result.details = {
+        "failed": result.remaining - reduced,
+        "reduced": reduced,
+        "iterations": iterations,
+        "rounds_per_iteration": rounds_per_iteration,
+        "delta2": delta2,
+        "reduced_max_degree": max_degree(result.residual),
+    }
     return result
 
 
@@ -334,16 +286,9 @@ def run_sparsify(
     1) with only ``O(log log n)`` rounds per iteration. See the module
     docstring for why this stands in for [GP22, §3.2].
     """
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None and graph.number_of_nodes() > 0:
-        ledger = EnergyLedger(graph.nodes)
-
     if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(set(), set(), set(), empty, details={})
-
-    before = ledger.snapshot()
+        return PhaseResult.idle((), {})
+    n = size_bound if size_bound is not None else graph.number_of_nodes()
     degree = max_degree(graph)
     iterations = math.ceil(math.log2(max(2, degree))) + 1
     rounds_per_iteration = max(
@@ -354,35 +299,18 @@ def run_sparsify(
                                 max(1, degree), 10.0)
         for node in graph.nodes
     }
-    network = Network(graph, programs, seed=seed, ledger=ledger, size_bound=n)
-    total_rounds = 3 * iterations * rounds_per_iteration
-    network.run_rounds(total_rounds)
-    ledger.charge_many(graph.nodes, 1)  # hand-off status round
-
-    joined = {v for v, f in network.outputs("joined").items() if f}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    metrics = RunMetrics.from_snapshots(
-        total_rounds + 1, before, ledger.snapshot(), graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        max_message_bits=network.max_message_bits,
+    result, _ = run_network_phase(
+        graph, programs, 3 * iterations * rounds_per_iteration, seed=seed,
+        ledger=ledger, size_bound=n, handoff_round=True, hand_off=False,
     )
-    result = PhaseResult(
-        joined=joined, dominated=dominated, remaining=remaining,
-        metrics=metrics,
-        details={
-            "iterations": iterations,
-            "rounds_per_iteration": rounds_per_iteration,
-            "input_degree": degree,
-            "remaining_fraction": len(remaining) / graph.number_of_nodes(),
-        },
-    )
-    result.check_partition(set(graph.nodes))
+    result.details = {
+        "iterations": iterations,
+        "rounds_per_iteration": rounds_per_iteration,
+        "input_degree": degree,
+        "remaining_fraction": (
+            len(result.remaining) / graph.number_of_nodes()
+        ),
+    }
     return result
 
 
@@ -396,41 +324,22 @@ def _compose_average_energy(
     variant: str,
     size_bound: Optional[int] = None,
 ) -> MISResult:
-    if graph.number_of_nodes() == 0:
-        raise ValueError(f"{name} needs a non-empty graph")
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
+    n, ledger = driver_inputs(graph, name, ledger, size_bound)
+    common = dict(config=config, ledger=ledger, size_bound=n)
 
-    instrument = current_instrument()
-    prof = instrument.profiler
-
-    def observed_phase(phase_name, runner):
-        # Phase names match the combine_sequential keys below, so the
-        # event stream, the profile tree, and metrics.phases line up.
-        instrument.on_phase_start(phase_name)
-        with section_scope(prof, phase_name):
-            result = runner()
-        instrument.on_phase_end(phase_name, result.metrics)
-        return result
-
-    phase1 = observed_phase("phase1", lambda: phase1_runner(
-        graph, seed=_derive_seed(seed, 11), config=config, ledger=ledger,
-        size_bound=n,
-    ))
+    phase1 = observed_phase(
+        "phase1", phase1_runner, graph, seed=_derive_seed(seed, 11), **common
+    )
     residual = phase1.residual
-
-    lemma42 = observed_phase("lemma42", lambda: run_lemma42(
-        residual, seed=_derive_seed(seed, 12), config=config, ledger=ledger,
-        size_bound=n,
-    ))
-    failed = lemma42.details.get("failed", set())
-
-    sparsified = observed_phase("sparsify", lambda: run_sparsify(
-        lemma42.residual,
-        seed=_derive_seed(seed, 13), config=config, ledger=ledger,
-        size_bound=n,
-    ))
+    lemma42 = observed_phase(
+        "lemma42", run_lemma42, residual, seed=_derive_seed(seed, 12),
+        **common,
+    )
+    failed = lemma42.details["failed"]
+    sparsified = observed_phase(
+        "sparsify", run_sparsify, lemma42.residual,
+        seed=_derive_seed(seed, 13), **common,
+    )
 
     # Failed nodes slept through the sparsifier but live in the same
     # residual graph: any of them adjacent to a sparsifier joiner is
@@ -446,41 +355,27 @@ def _compose_average_energy(
     leftover = (failed - dominated_failed) | sparsified.remaining
     phase2 = observed_phase("phase2", lambda: run_phase2(
         induced_subgraph(residual, leftover),
-        seed=_derive_seed(seed, 14), config=config, ledger=ledger,
-        size_bound=n,
+        seed=_derive_seed(seed, 14), **common,
     ))
-    phase3 = observed_phase("phase3", lambda: run_phase3(
-        phase2.components,
-        seed=_derive_seed(seed, 15), config=config, ledger=ledger,
-        size_bound=n, variant=variant,
-    ))
+    phase3 = observed_phase(
+        "phase3", run_phase3, phase2.components,
+        seed=_derive_seed(seed, 15), variant=variant, **common,
+    )
 
-    mis = (
-        phase1.joined | lemma42.joined | sparsified.joined
-        | phase2.joined | phase3.joined
-    )
-    metrics = RunMetrics.combine_sequential(
-        {
-            "phase1": phase1.metrics,
-            "lemma42": lemma42.metrics,
-            "sparsify": sparsified.metrics,
-            "phase2": phase2.metrics,
-            "phase3": phase3.metrics,
-        },
-        ledger=ledger,
-    )
-    return MISResult(
-        mis=mis,
-        metrics=metrics,
-        algorithm=name,
-        details={
-            "failed_nodes": len(failed),
-            "sparsify_leftover": len(sparsified.remaining),
-            "phase2_input": len(leftover),
-            "undecided": sorted(phase3.remaining),
-            "phase3_failures": phase3.details.get("failures", 0),
-        },
-    )
+    phases = {
+        "phase1": phase1,
+        "lemma42": lemma42,
+        "sparsify": sparsified,
+        "phase2": phase2,
+        "phase3": phase3,
+    }
+    return combine_phases(name, phases, ledger, {
+        "failed_nodes": len(failed),
+        "sparsify_leftover": len(sparsified.remaining),
+        "phase2_input": len(leftover),
+        "undecided": sorted(phase3.remaining),
+        "phase3_failures": phase3.details.get("failures", 0),
+    })
 
 
 def algorithm1_constant_average_energy(

@@ -35,17 +35,17 @@ an earlier-acting neighbor delivered the neighbor's outcome.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
+from ..congest import EnergyLedger, NodeProgram, StateField
 from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
-from ..graphs.properties import induced_subgraph, max_degree
+from ..graphs.properties import max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult
+from .phase_result import PhaseResult, flagged, run_network_phase
 
 _STATUS = 0
 _MARK = 1
@@ -282,21 +282,10 @@ def run_phase1_alg1(
     rounds_per_iteration = config.phase1_rounds_per_iteration(n)
     total_rounds = iterations * rounds_per_iteration
 
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
-    before = ledger.snapshot()
-
     if total_rounds == 0 or graph.number_of_nodes() == 0:
-        from ..congest.metrics import RunMetrics
-
-        metrics = RunMetrics.from_snapshots(0, before, ledger.snapshot(),
-                                            graph.nodes)
-        result = PhaseResult(
-            joined=set(),
-            dominated=set(),
-            remaining=set(graph.nodes),
-            metrics=metrics,
-            details={
+        return PhaseResult.idle(
+            graph.nodes,
+            {
                 "iterations": 0,
                 "rounds_per_iteration": 0,
                 "delta": delta,
@@ -305,7 +294,6 @@ def run_phase1_alg1(
             },
             residual=graph_csr(graph),
         )
-        return result
 
     programs = {
         node: Phase1Alg1Program(
@@ -313,49 +301,15 @@ def run_phase1_alg1(
         )
         for node in graph.nodes
     }
-    network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=n
+    result, network = run_network_phase(
+        graph, programs, 3 * total_rounds, seed=seed, ledger=ledger,
+        size_bound=n, handoff_round=True,
     )
-    network.run_rounds(3 * total_rounds)
-
-    # Hand-off round: everyone wakes once so dominated status is known.
-    ledger.charge_many(graph.nodes, 1)
-
-    joined = {v for v, flag in network.outputs("joined").items() if flag}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    from ..congest.metrics import RunMetrics
-
-    metrics = RunMetrics.from_snapshots(
-        3 * total_rounds + 1,
-        before,
-        ledger.snapshot(),
-        graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
-    )
-    sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
-    residual = induced_subgraph(graph, remaining)
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=remaining,
-        metrics=metrics,
-        details={
-            "iterations": iterations,
-            "rounds_per_iteration": rounds_per_iteration,
-            "delta": delta,
-            "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(residual),
-        },
-        residual=residual,
-    )
-    result.check_partition(set(graph.nodes))
+    result.details = {
+        "iterations": iterations,
+        "rounds_per_iteration": rounds_per_iteration,
+        "delta": delta,
+        "sampled_nodes": len(flagged(network, "sampled")),
+        "residual_max_degree": max_degree(result.residual),
+    }
     return result

@@ -28,12 +28,11 @@ then a four-round all-active end block (status / counts / high flags /
 final joins). A sampled node is awake at its Lemma 2.5 schedule rounds plus
 the end block; an unsampled node only at the end block.
 
-Scaled constant (documented in DESIGN.md): the paper runs ``c·log n``
-sampling rounds, affordable because ``Δ ≥ log²⁰ n`` keeps the spoiling rate
-``R·Δ^-0.5`` negligible. Below that astronomic floor the same ``R`` would
-spoil everything, so we cap ``R ≤ 4·Δ^0.1`` — the cap is inactive in the
-paper's regime (there ``4Δ^0.1 ≥ 4 log² n ≥ log n``) and binding only at
-simulation scales.
+Scaled constant: the paper runs ``c·log n`` sampling rounds, affordable
+because ``Δ ≥ log²⁰ n`` keeps the spoiling rate ``R·Δ^-0.5`` negligible.
+Below that astronomic floor the same ``R`` would spoil everything, so we
+cap ``R ≤ 4·Δ^0.1`` — the cap is inactive in the paper's regime (there
+``4Δ^0.1 ≥ 4 log² n ≥ log n``) and binding only at simulation scales.
 """
 
 from __future__ import annotations
@@ -44,19 +43,23 @@ from typing import Optional, Set
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
-from ..congest.metrics import RunMetrics
+from ..congest import EnergyLedger, NodeProgram, StateField
 from ..congest.vectorized import (
     GraphArrays,
     VectorRound,
     graph_csr,
     int_bit_length,
 )
-from ..graphs.properties import induced_subgraph, max_degree
+from ..graphs.properties import max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase3 import _derive_seed
-from .phase_result import PhaseResult
+from .phase_result import (
+    PhaseResult,
+    flagged,
+    phase_metrics,
+    run_network_phase,
+)
 
 _STATUS = 0
 _TAG = 1
@@ -551,50 +554,20 @@ def run_lemma31_iteration(
 ) -> PhaseResult:
     """One Lemma 3.1 iteration on ``graph`` with degree parameter ``delta``."""
     n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
-    before = ledger.snapshot()
     rounds = sampling_rounds(n, delta, config)
     programs = {
         node: Phase1Alg2Program(delta, rounds, config) for node in graph.nodes
     }
-    network = Network(graph, programs, seed=seed, ledger=ledger, size_bound=n)
-    network.run_rounds(4 * rounds + 4)
-
-    joined = {v for v, flag in network.outputs("joined").items() if flag}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    metrics = RunMetrics.from_snapshots(
-        4 * rounds + 4,
-        before,
-        ledger.snapshot(),
-        graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
+    result, network = run_network_phase(
+        graph, programs, 4 * rounds + 4, seed=seed, ledger=ledger,
+        size_bound=n,
     )
-    sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
-    residual = induced_subgraph(graph, remaining)
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=remaining,
-        metrics=metrics,
-        details={
-            "delta": delta,
-            "rounds": rounds,
-            "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(residual),
-        },
-        residual=residual,
-    )
-    result.check_partition(set(graph.nodes))
+    result.details = {
+        "delta": delta,
+        "rounds": rounds,
+        "sampled_nodes": len(flagged(network, "sampled")),
+        "residual_max_degree": max_degree(result.residual),
+    }
     return result
 
 
@@ -622,8 +595,7 @@ def run_phase1_alg2(
     dominated: Set[int] = set()
     current = graph_csr(graph)
     delta = max_degree(current)
-    total_rounds = 0
-    iteration_details = []
+    steps = []
     failures = 0
     iteration = 0
     while delta > floor and current.number_of_nodes() > 0:
@@ -640,8 +612,7 @@ def run_phase1_alg2(
         )
         joined |= step.joined
         dominated |= step.dominated
-        total_rounds += step.metrics.rounds
-        iteration_details.append(step.details)
+        steps.append(step)
         assert step.residual is not None  # every iteration hands off
         current = step.residual
         target = max(1, math.ceil(delta**config.alg2_target_exponent))
@@ -652,8 +623,9 @@ def run_phase1_alg2(
         else:
             delta = target
 
-    metrics = RunMetrics.from_snapshots(
-        total_rounds, before, ledger.snapshot(), graph.nodes
+    metrics = phase_metrics(
+        sum(step.metrics.rounds for step in steps), before, ledger,
+        graph.nodes, [step.metrics for step in steps],
     )
     result = PhaseResult(
         joined=joined,
@@ -665,7 +637,7 @@ def run_phase1_alg2(
             "degree_floor": floor,
             "final_delta": delta,
             "contraction_failures": failures,
-            "per_iteration": iteration_details,
+            "per_iteration": [step.details for step in steps],
             "residual_max_degree": max_degree(current),
         },
         residual=current,

@@ -12,13 +12,13 @@ Since ``Δ₂`` is polylogarithmic, keeping every node awake for the whole
 phase costs only ``O(log Δ₂) = O(log log n)`` energy, which the paper simply
 absorbs into the budget.
 
-Clustering substitution (documented in DESIGN.md): the paper inherits its
-clustering from the internals of [Gha16]; we build it directly with
-iterated minimum-id ball carving of radius ``Θ(log log n)``: local minima
-within the radius become centers, a first-adoption multi-source BFS builds
-connected clusters with BFS spanning trees, and leftover nodes repeat. This
-yields exactly the interface Lemma 2.6 promises — connected clusters of
-bounded diameter with rooted trees.
+Clustering substitution: the paper inherits its clustering from the
+internals of [Gha16]; we build it directly with iterated minimum-id ball
+carving of radius ``Θ(log log n)``: local minima within the radius become
+centers, a first-adoption multi-source BFS builds connected clusters with
+BFS spanning trees, and leftover nodes repeat. This yields exactly the
+interface Lemma 2.6 promises — connected clusters of bounded diameter with
+rooted trees.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import networkx as nx
 from ..baselines.ghaffari import ghaffari_shatter
 from ..cluster import Choreography, ClusterState, RootedTree, state_from_trees
 from ..congest import EnergyLedger
-from ..congest.metrics import RunMetrics
 from ..congest.vectorized import GraphArrays
 from ..graphs.properties import induced_subgraph, max_degree
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult
+from .phase_result import PhaseResult, phase_metrics
 
 
 @dataclass
@@ -131,17 +130,11 @@ def run_phase2(
     Returns the phase partition plus one :class:`ClusterState` per connected
     component of the undecided residue.
     """
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None and graph.number_of_nodes() > 0:
-        ledger = EnergyLedger(graph.nodes)
-
     if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return Phase2Result(
-            joined=set(), dominated=set(), remaining=set(), metrics=empty,
-            details={"components": 0}, components=[],
-        )
+        return Phase2Result.idle((), {"components": 0})
+    n = size_bound if size_bound is not None else graph.number_of_nodes()
+    if ledger is None:
+        ledger = EnergyLedger(graph.nodes)
 
     before = ledger.snapshot()
     delta2 = max_degree(graph)
@@ -174,16 +167,9 @@ def run_phase2(
         }
         components.append(state_from_trees(component_graph, component_trees))
 
-    metrics = RunMetrics.from_snapshots(
-        shatter_rounds + choreography.clock,
-        before,
-        ledger.snapshot(),
-        graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
+    metrics = phase_metrics(
+        shatter_rounds + choreography.clock, before, ledger, graph.nodes,
+        [network],
     )
     result = Phase2Result(
         joined=joined,

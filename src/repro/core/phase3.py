@@ -33,7 +33,7 @@ from ..cluster import Choreography, ClusterState, merge_component_clusters
 from ..congest import EnergyLedger, Network
 from ..congest.metrics import RunMetrics
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult
+from .phase_result import PhaseResult, phase_metrics
 
 
 def _derive_seed(*parts: int) -> int:
@@ -47,8 +47,9 @@ def _run_executions(
     seed: int,
     ledger: EnergyLedger,
     size_bound: int,
-) -> Tuple[Dict[int, GhaffariProgram], int]:
-    """One block of parallel Ghaffari executions on a component."""
+) -> Tuple[Dict[int, GhaffariProgram], RunMetrics]:
+    """One block of parallel Ghaffari executions on a component; returns
+    the programs and the metrics of the network that ran them."""
     programs = {
         node: GhaffariProgram(iterations=iterations, executions=executions)
         for node in state.graph.nodes
@@ -56,8 +57,7 @@ def _run_executions(
     network = Network(
         state.graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
     )
-    metrics = network.run(max_rounds=10 * iterations + 16)
-    return programs, metrics.rounds
+    return programs, network.run(max_rounds=10 * iterations + 16)
 
 
 def _successful_executions(
@@ -92,22 +92,22 @@ def run_phase3(
       convergecast ships the whole component topology to the root, which
       solves the MIS locally and broadcasts the answer. No randomness, no
       failure probability; only meaningful outside CONGEST.
+
+    The metrics' message counters are the sum over every execution
+    network the phase built, failed attempts included. The cluster
+    choreography (merging, convergecasts, broadcasts) charges awake
+    rounds to the ledger only: it is metered, not simulated message by
+    message, so it adds no message counts.
     """
     if variant not in ("alg1", "alg2", "local"):
         raise ValueError(f"unknown variant {variant!r}")
     all_nodes: Set[int] = set()
     for state in components:
         all_nodes |= set(state.graph.nodes)
-    if ledger is None and all_nodes:
-        ledger = EnergyLedger(all_nodes)
-
     if not all_nodes:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(
-            joined=set(), dominated=set(), remaining=set(), metrics=empty,
-            details={"components": 0, "failures": 0},
-        )
+        return PhaseResult.idle((), {"components": 0, "failures": 0})
+    if ledger is None:
+        ledger = EnergyLedger(all_nodes)
 
     before = ledger.snapshot()
     executions = config.phase3_executions(size_bound)
@@ -128,7 +128,7 @@ def run_phase3(
     failures = 0
     merge_iterations_max = 0
     tree_height_max = 0
-    messages = {"sent": 0, "delivered": 0, "dropped": 0, "bits": 0, "max_bits": 0}
+    runs: List[RunMetrics] = []
 
     for state in components:
         component_nodes = sorted(state.graph.nodes)
@@ -165,10 +165,11 @@ def run_phase3(
         programs: Dict[int, GhaffariProgram] = {}
         for attempt in range(config.phase3_retries + 1):
             block_seed = _derive_seed(seed, component_id, attempt)
-            programs, rounds = _run_executions(
+            programs, run = _run_executions(
                 state, executions, iterations, block_seed, ledger, size_bound
             )
-            engine_rounds += rounds
+            runs.append(run)
+            engine_rounds += run.rounds
             # Local success checks (already known from received join bits),
             # then a convergecast-AND per execution and one broadcast of the
             # chosen execution index.
@@ -205,11 +206,8 @@ def run_phase3(
         )
 
     dominated = all_nodes - joined - remaining
-    metrics = RunMetrics.from_snapshots(
-        max_component_rounds,
-        before,
-        ledger.snapshot(),
-        all_nodes,
+    metrics = phase_metrics(
+        max_component_rounds, before, ledger, all_nodes, runs
     )
     result = PhaseResult(
         joined=joined,

@@ -202,12 +202,21 @@ def gnp_expected_degree(
 
 
 def random_regular(n: int, degree: int, seed: int = 0) -> nx.Graph:
-    """Random ``degree``-regular graph (``n * degree`` must be even)."""
+    """Random ``degree``-regular graph (``n * degree`` must be even).
+
+    Above ``(n - 1) / 2`` it is the complement of a random
+    ``(n - 1 - degree)``-regular graph (same parity, since ``n (n - 1)``
+    is even): networkx's pairing sampler slows down sharply as the degree
+    nears ``n - 1``, while the sparse complement is quick to sample.
+    """
     _check_n(n)
     if degree < 0 or degree >= n:
         raise ValueError(f"degree must be in [0, n), got {degree}")
     if (n * degree) % 2 != 0:
         raise ValueError("n * degree must be even for a regular graph")
+    if 2 * degree > n - 1:
+        return nx.complement(nx.random_regular_graph(n - 1 - degree, n,
+                                                     seed=seed))
     return nx.random_regular_graph(degree, n, seed=seed)
 
 

@@ -1,11 +1,11 @@
-"""Experiment registry: every theorem-derived experiment from DESIGN.md.
+"""Experiment registry: every theorem-derived experiment of the paper.
 
 Each experiment returns ``(report, data)``: a human-readable text block and
 the raw numbers. ``python -m repro.harness --experiment E1`` prints the
-report; ``--all`` runs the full battery (EXPERIMENTS.md records one such
-run). ``quick=True`` shrinks sizes/seeds for smoke runs; ``--jobs N`` (or
-``run_all(n_jobs=N)`` / ``run_experiment(..., n_jobs=N)``) fans every
-sweep/measure batch inside the experiments out to a process pool.
+report; ``--all`` runs the full battery. ``quick=True`` shrinks
+sizes/seeds for smoke runs; ``--jobs N`` (or ``run_all(n_jobs=N)`` /
+``run_experiment(..., n_jobs=N)``) fans every sweep/measure batch inside
+the experiments out to a process pool.
 
 Beyond the theorem experiments (E*) and ablations (A*), the registry holds
 C1 (awake complexity across the congest/local/broadcast channel models),
@@ -862,7 +862,7 @@ def run_experiment(
 
 
 def run_all(quick: bool = False, n_jobs: int = None) -> str:
-    """Run the whole battery (EXPERIMENTS.md regeneration).
+    """Run the whole battery and join the reports.
 
     With ``n_jobs`` every sweep/measure batch inside every experiment runs
     on a process pool via :func:`repro.harness.parallel.parallel_map`.

@@ -70,6 +70,16 @@ class TestGenerators:
         g = graphs.random_regular(20, 4, seed=5)
         assert set(d for _, d in g.degree) == {4}
 
+    @pytest.mark.parametrize("n,degree", [(51, 48), (58, 52), (24, 16),
+                                          (12, 11)])
+    def test_dense_random_regular_is_regular(self, n, degree):
+        """Above (n-1)/2 the graph is the complement of a sparse regular
+        one: still exactly ``degree``-regular on the nodes 0..n-1."""
+        g = graphs.random_regular(n, degree, seed=3)
+        assert sorted(g.nodes) == list(range(n))
+        assert set(d for _, d in g.degree) == {degree}
+        assert g.number_of_edges() == n * degree // 2
+
     def test_random_regular_parity_rejected(self):
         with pytest.raises(ValueError):
             graphs.random_regular(5, 3)

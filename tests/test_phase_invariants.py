@@ -11,11 +11,16 @@ consequences at phase end are checkable:
 The failure-injection tests feed each phase inputs that violate its
 intended regime and check it degrades gracefully instead of breaking the
 output contract.
+
+The message-conservation tests check that every phase's metrics carry
+the counters of every network it ran, so a pipeline's totals equal the
+sum over all its networks, also under a lossy channel.
 """
 
 import math
 
 import networkx as nx
+import pytest
 
 from repro import graphs
 from repro.analysis import is_independent_set
@@ -24,6 +29,8 @@ from repro.core import run_phase1_alg1, run_phase2, run_phase3
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.phase1_alg1 import Phase1Alg1Program
 from repro.graphs.properties import max_degree
+from repro.harness import run_algorithm
+from repro.obs import Instrument
 
 
 class TestPhase1Invariants:
@@ -137,3 +144,58 @@ class TestFailureInjection:
         assert ledger.total_energy() == (
             p1.metrics.total_energy + p2.metrics.total_energy
         )
+
+
+#: Counters that add up over networks and over phases.
+SUMMED_COUNTERS = (
+    "messages_sent",
+    "messages_delivered",
+    "messages_dropped",
+    "total_message_bits",
+)
+
+
+class _NetworkCounters(Instrument):
+    """Sums the message counters of every network a run builds."""
+
+    def __init__(self):
+        self.totals = dict.fromkeys(SUMMED_COUNTERS, 0)
+
+    def on_run_end(self, network, metrics):
+        for name in SUMMED_COUNTERS:
+            self.totals[name] += getattr(network, name)
+
+
+class TestMessageConservation:
+    @pytest.mark.parametrize(
+        "channel", ["congest", "lossy(drop=0.1,seed=3):congest"]
+    )
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["algorithm1", "algorithm2", "algorithm1_avg", "algorithm2_avg"],
+    )
+    def test_phase_counters_cover_every_network(self, algorithm, channel):
+        # Dense enough that Phase I runs and Phase III gets components.
+        graph = graphs.gnp_expected_degree(600, 150, seed=0)
+        ran = set()
+        for seed in range(1, 6):
+            counters = _NetworkCounters()
+            result = run_algorithm(
+                algorithm, graph, seed, channel=channel, instrument=counters
+            )
+            metrics = result.metrics
+            combined = {name: getattr(metrics, name)
+                        for name in SUMMED_COUNTERS}
+            assert combined == counters.totals
+            per_phase = {
+                name: sum(getattr(phase, name)
+                          for phase in metrics.phases.values())
+                for name in SUMMED_COUNTERS
+            }
+            assert per_phase == counters.totals
+            assert metrics.messages_sent == (
+                metrics.messages_delivered + metrics.messages_dropped
+            )
+            ran |= {name for name, phase in metrics.phases.items()
+                    if phase.rounds}
+        assert {"phase1", "phase3"} <= ran
