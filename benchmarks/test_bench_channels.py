@@ -1,9 +1,9 @@
 """Channel-layer hot-path benchmarks: batched vs per-Message delivery.
 
 The channel refactor's perf claim is that routing a round through flat
-per-edge buffers (``CongestChannel(batched=True)``, the default) beats the
-seed engine's per-``Message`` delivery loop (kept verbatim as
-``congest-per-message``) on message-heavy workloads — with *bit-identical*
+per-edge buffers (``CongestChannel``'s one delivery loop) beats the seed
+engine's per-``Message`` delivery loop (the ``congest-per-message`` oracle
+of ``tests/oracles.py``) on message-heavy workloads — with *bit-identical*
 outputs, metrics, and ledgers. This suite times three traffic shapes
 (broadcast-count, broadcast-read, unicast gossip) plus the LOCAL and radio
 broadcast channels, asserts the speedup floors, and writes a
@@ -25,6 +25,8 @@ import pytest
 from repro import graphs
 from repro.baselines import RadioDecayProgram
 from repro.congest import Network, NodeProgram
+
+from oracles import channel_spec
 
 QUICK = os.environ.get("BENCH_QUICK", "0") not in ("", "0")
 SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_3.json"
@@ -134,7 +136,9 @@ def _compare_channels(name, program_cls, output_key, floor):
         )
 
     batched_s, batched_net = _timed_run(make("congest"))
-    per_msg_s, per_msg_net = _timed_run(make("congest-per-message"))
+    per_msg_s, per_msg_net = _timed_run(
+        make(channel_spec("congest-per-message"))
+    )
     assert batched_net.metrics() == per_msg_net.metrics()
     assert batched_net.outputs(output_key) == per_msg_net.outputs(output_key)
     assert batched_net.ledger.snapshot() == per_msg_net.ledger.snapshot()
@@ -175,7 +179,8 @@ def test_unicast_gossip_batched_not_slower():
 
 
 def test_local_channel_cheaper_than_congest():
-    """LOCAL skips pricing: same delivery, strictly less bookkeeping."""
+    """LOCAL prices every payload at 0 bits: same delivery loop, no
+    message-size work."""
     graph = _storm_graph()
     rounds = _rounds()
 

@@ -3,7 +3,8 @@
 The paper's regime is nodes that sleep almost always, so the engine must
 make simulated time nearly free when nobody is awake. This suite times the
 same workloads on the fast path (idle-round fast-forward + cached round
-loop) and on the naive per-round legacy loop, asserts the fast path wins by
+loop) and on the naive per-round legacy loop (the step-every-round
+oracle of ``tests/oracles.py``), asserts the fast path wins by
 the required margin on sparse schedules with *bit-identical* results, and
 writes a machine-readable ``BENCH_2.json`` perf snapshot (bench name →
 seconds) next to the repository root so future PRs have a trajectory.
@@ -22,6 +23,8 @@ import pytest
 from repro import graphs
 from repro.baselines import LubyProgram
 from repro.congest import Network, NodeProgram
+
+from oracles import engine_path
 
 QUICK = os.environ.get("BENCH_QUICK", "0") not in ("", "0")
 SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_2.json"
@@ -106,9 +109,10 @@ def _timed_run(make_network, engine):
     best = None
     for _ in range(TIMING_ATTEMPTS):
         network = make_network()
-        start = time.perf_counter()
-        metrics = network.run(engine=engine)
-        elapsed = time.perf_counter() - start
+        with engine_path(engine):
+            start = time.perf_counter()
+            metrics = network.run()
+            elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
     return best, metrics, network

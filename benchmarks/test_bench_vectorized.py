@@ -31,6 +31,8 @@ from repro.baselines import (
 from repro.congest import Network
 from repro.graphs.properties import max_degree
 
+from oracles import channel_spec
+
 QUICK = os.environ.get("BENCH_QUICK", "0") not in ("", "0")
 SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_5.json"
 # Acceptance floor: the vectorized dense round must beat the cached round
@@ -165,7 +167,7 @@ def test_radio_listener_scan_speedup():
 
         instance_vector_s, vector_net = _timed_run(make("broadcast"), "fast")
         instance_scalar_s, scalar_net = _timed_run(
-            make("broadcast-scalar"), "fast"
+            make(channel_spec("broadcast-scalar")), "fast"
         )
         assert vector_net.metrics() == scalar_net.metrics(), graph_seed
         assert vector_net.outputs("in_mis") == \

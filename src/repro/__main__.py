@@ -195,9 +195,9 @@ def _static_main(argv) -> int:
         "--engine", default="auto", choices=list(ENGINE_MODES),
         help=(
             "engine path: auto (vectorized dense rounds when the program "
-            "declares the capability), fast (cached loop only), legacy "
-            "(naive per-round loop), or vectorized (require the "
-            "vectorized path; error if it cannot engage)"
+            "declares the capability), fast (cached loop only), or "
+            "vectorized (require the vectorized path; error if it cannot "
+            "engage)"
         ),
     )
     parser.add_argument(

@@ -8,24 +8,21 @@ hard-wire into ``Network.step``:
 * **delivery** — which queued payloads reach which awake nodes
   (``deliver``), and what that does to the message/energy accounting.
 
-Three models ship with the engine:
+Three models ship with the engine, one delivery loop each:
 
 ``CongestChannel`` (the default)
     The paper's synchronous CONGEST semantics: one ``B = O(log n)``-bit
-    message per edge per round, messages to sleeping nodes dropped. The
-    default *batched* implementation routes an entire round through flat
-    per-edge buffers — one preallocated slot per directed edge, payload
-    written by slot index, inboxes materialized lazily as views over the
-    slot block of each receiver — instead of allocating a
-    :class:`~repro.congest.message.Message` object per delivery.
-    ``CongestChannel(batched=False)`` is the per-``Message`` reference
-    implementation, kept verbatim from the pre-channel engine; the
-    equivalence suite proves the two bit-identical.
+    message per edge per round, messages to sleeping nodes dropped. A
+    round is routed through flat per-edge buffers — one preallocated slot
+    per directed edge, payload written by slot index, inboxes materialized
+    lazily as views over the slot block of each receiver — instead of
+    allocating a :class:`~repro.congest.message.Message` object per
+    delivery.
 
 ``LocalChannel``
-    Unbounded bandwidth (the LOCAL model): no bit budget, no bit
-    accounting. For baselines like Luby/Ghaffari that should not pay
-    CONGEST pricing overhead when only their round/energy counts matter.
+    Unbounded bandwidth (the LOCAL model): CONGEST's delivery loop with a
+    zero ``price``, so no bit budget binds and ``total_message_bits``
+    stays 0.
 
 ``BroadcastChannel``
     A single shared radio medium per neighborhood, half-duplex, with
@@ -37,11 +34,12 @@ Three models ship with the engine:
     is billed to the energy ledger (a wasted listening slot), which is the
     accounting radio-network MIS papers charge. A transmitter never pays a
     collision charge on top of its transmit slot — half-duplex means it
-    cannot waste a listening slot. The default listener scan is one
-    per-round numpy bincount over transmitter edges;
-    ``BroadcastChannel(vectorized=False)`` (registry name
-    ``"broadcast-scalar"``) keeps the per-listener O(deg) reference scan
-    the regression tests pin it against.
+    cannot waste a listening slot. The listener scan is one per-round
+    numpy bincount over transmitter edges.
+
+Reference implementations — per-``Message`` CONGEST/LOCAL delivery and a
+per-listener radio scan — are test oracles (``tests/oracles.py``); the
+equivalence suites pin the shipped loops to them bit for bit.
 
 Channels are selected per :class:`~repro.congest.network.Network` via
 ``Network(..., channel=...)`` — a name from :data:`CHANNELS`, an instance,
@@ -143,6 +141,17 @@ class Channel:
         """
         return self
 
+    def vector_obstacle(self) -> Optional[str]:
+        """Why the vectorized engine cannot model this channel, or None.
+
+        The dense-round kernels implement point-to-point delivery only, so
+        every channel but CONGEST/LOCAL declines; wrappers answer for
+        their whole stack.
+        """
+        return (
+            f"channel {self.name!r} has no vectorized point-to-point delivery"
+        )
+
     def vector_faults(self, arrays):
         """Per-round edge-drop state for the vectorized engine, or ``None``.
 
@@ -234,19 +243,13 @@ class _InboxView:
 
 
 class CongestChannel(Channel):
-    """Point-to-point CONGEST delivery with the ``B``-bit budget.
-
-    ``batched=True`` (default) routes the round through flat per-edge slot
-    buffers; ``batched=False`` is the pre-refactor per-``Message`` loop,
-    kept as the bit-exact reference semantics (and as the baseline the
-    channel benchmarks measure the batched path against).
-    """
+    """Point-to-point CONGEST delivery with the ``B``-bit budget, routed
+    through flat per-edge slot buffers."""
 
     name = "congest"
 
-    def __init__(self, batched: bool = True):
+    def __init__(self):
         super().__init__()
-        self.batched = batched
         # Monotonic across the channel's whole lifetime, *never* reset by
         # bind(): an _InboxView minted against one network must not read
         # the recycled buffers of a later network the same channel
@@ -258,7 +261,7 @@ class CongestChannel(Channel):
         self._network = network
         self._round_serial += 1
         # The per-directed-edge slot structures are O(m) python objects —
-        # built lazily at the first batched delivery instead of here, so
+        # built lazily at the first scalar delivery instead of here, so
         # a run that stays on the vectorized dense-round path (which never
         # routes a scalar delivery) never pays for them at all. That is
         # the difference between "loads in seconds" and "loads in gigabytes"
@@ -303,8 +306,9 @@ class CongestChannel(Channel):
         self._slots_ready = True
 
     # -- send side ------------------------------------------------------
-    def price(self, payload: Any) -> int:
-        return payload_bits_cached(payload)
+    #: A plain function, not a method wrapping one: :meth:`deliver` hoists
+    #: ``self.price`` and calls it per distinct payload.
+    price = staticmethod(payload_bits_cached)
 
     def on_send(self, ctx: Context, neighbor: int, payload: Any) -> None:
         if neighbor not in ctx._neighbor_set:
@@ -335,43 +339,11 @@ class CongestChannel(Channel):
             )
         ctx._bcast = payload
 
+    def vector_obstacle(self) -> Optional[str]:
+        return None
+
     # -- delivery -------------------------------------------------------
     def deliver(self, ordered: List[int], awake: Set[int]) -> Dict[int, Any]:
-        if self.batched:
-            return self._deliver_batched(ordered, awake)
-        return self._deliver_per_message(ordered, awake)
-
-    def _deliver_per_message(self, ordered, awake) -> Dict[int, List[Message]]:
-        """The seed engine's delivery loop, verbatim (reference semantics)."""
-        network = self._network
-        contexts = network.contexts
-        inboxes: Dict[int, List[Message]] = {}
-        max_bits = network.max_message_bits
-        for node in ordered:
-            outbox, bcast = contexts[node]._drain()
-            if bcast is not NO_BROADCAST:
-                outbox = [(r, bcast) for r in contexts[node].neighbors]
-            if not outbox:
-                continue
-            for receiver, payload in outbox:
-                network.messages_sent += 1
-                bits = payload_bits_cached(payload)
-                network.total_message_bits += bits
-                if bits > max_bits:
-                    max_bits = bits
-                if receiver in awake and not contexts[receiver]._halted:
-                    inbox = inboxes.get(receiver)
-                    if inbox is None:
-                        inboxes[receiver] = [Message(node, payload)]
-                    else:
-                        inbox.append(Message(node, payload))
-                    network.messages_delivered += 1
-                else:
-                    network.messages_dropped += 1
-        network.max_message_bits = max_bits
-        return inboxes
-
-    def _deliver_batched(self, ordered, awake) -> Dict[int, Any]:
         if not self._slots_ready:
             self._build_slots()
         network = self._network
@@ -381,6 +353,7 @@ class CongestChannel(Channel):
         dirty = self._dirty
         out_pairs = self._out_pairs
         out_slots = self._out_slots
+        price = self.price
         counts: Dict[int, int] = {}
         sent = delivered = dropped = 0
         bits_total = 0
@@ -392,7 +365,7 @@ class CongestChannel(Channel):
             if bcast is not NO_BROADCAST:
                 pairs = out_pairs[node]
                 sent += len(pairs)
-                bits = payload_bits_cached(bcast)
+                bits = price(bcast)
                 bits_total += bits * len(pairs)
                 if bits > max_bits:
                     max_bits = bits
@@ -412,7 +385,7 @@ class CongestChannel(Channel):
                 for receiver, payload in outbox:
                     sent += 1
                     if payload is not last_payload:
-                        bits = payload_bits_cached(payload)
+                        bits = price(payload)
                         last_payload = payload
                     bits_total += bits
                     if bits > max_bits:
@@ -439,8 +412,6 @@ class CongestChannel(Channel):
         return inboxes
 
     def finish_round(self) -> None:
-        if not self.batched:
-            return
         self._round_serial += 1
         if not self._slots_ready:
             return
@@ -457,87 +428,17 @@ class CongestChannel(Channel):
 class LocalChannel(CongestChannel):
     """Unbounded-bandwidth point-to-point delivery (the LOCAL model).
 
-    Same topology and sleeping semantics as CONGEST, but payloads are free:
-    no bit budget is enforced and no bit accounting is performed, so
-    baselines that only care about rounds/energy skip the pricing overhead
-    entirely (``total_message_bits`` stays 0).
+    Same topology, sleeping semantics and delivery loop as CONGEST, but
+    payloads are free: with a zero ``price`` the bit budget never binds
+    and ``total_message_bits`` stays 0, while the one-message-per-edge
+    rule still holds.
     """
 
     name = "local"
 
-    def price(self, payload: Any) -> int:
+    @staticmethod
+    def price(payload: Any) -> int:
         return 0
-
-    # on_send / on_broadcast are inherited: with price() == 0 the budget
-    # check can never trip, and the one-message-per-edge rule still holds.
-
-    def _deliver_per_message(self, ordered, awake) -> Dict[int, List[Message]]:
-        network = self._network
-        contexts = network.contexts
-        inboxes: Dict[int, List[Message]] = {}
-        for node in ordered:
-            outbox, bcast = contexts[node]._drain()
-            if bcast is not NO_BROADCAST:
-                outbox = [(r, bcast) for r in contexts[node].neighbors]
-            for receiver, payload in outbox:
-                network.messages_sent += 1
-                if receiver in awake and not contexts[receiver]._halted:
-                    inboxes.setdefault(receiver, []).append(
-                        Message(node, payload)
-                    )
-                    network.messages_delivered += 1
-                else:
-                    network.messages_dropped += 1
-        return inboxes
-
-    def _deliver_batched(self, ordered, awake) -> Dict[int, Any]:
-        if not self._slots_ready:
-            self._build_slots()
-        network = self._network
-        contexts = network.contexts
-        payloads_flat = self._payloads
-        occupied = self._occupied
-        dirty = self._dirty
-        out_pairs = self._out_pairs
-        out_slots = self._out_slots
-        counts: Dict[int, int] = {}
-        sent = delivered = dropped = 0
-        for node in ordered:
-            ctx = contexts[node]
-            outbox, bcast = ctx._drain()
-            if bcast is not NO_BROADCAST:
-                pairs = out_pairs[node]
-                sent += len(pairs)
-                for receiver, slot in pairs:
-                    if receiver in awake and not contexts[receiver]._halted:
-                        payloads_flat[slot] = bcast
-                        occupied[slot] = 1
-                        dirty.append(slot)
-                        counts[receiver] = counts.get(receiver, 0) + 1
-                        delivered += 1
-                    else:
-                        dropped += 1
-            elif outbox:
-                slots = out_slots[node]
-                for receiver, payload in outbox:
-                    sent += 1
-                    if receiver in awake and not contexts[receiver]._halted:
-                        slot = slots[receiver]
-                        payloads_flat[slot] = payload
-                        occupied[slot] = 1
-                        dirty.append(slot)
-                        counts[receiver] = counts.get(receiver, 0) + 1
-                        delivered += 1
-                    else:
-                        dropped += 1
-        network.messages_sent += sent
-        network.messages_delivered += delivered
-        network.messages_dropped += dropped
-        block = self._block
-        return {
-            receiver: _InboxView(self, *block[receiver], count)
-            for receiver, count in counts.items()
-        }
 
 
 class BroadcastChannel(Channel):
@@ -566,15 +467,10 @@ class BroadcastChannel(Channel):
     name = "broadcast"
 
     def __init__(self, collision_detection: bool = True,
-                 collision_cost: int = 1, vectorized: bool = True):
+                 collision_cost: int = 1):
         super().__init__()
         self.collision_detection = collision_detection
         self.collision_cost = collision_cost
-        # The default listener scan replaces the per-listener O(deg)
-        # membership loop with one per-round bincount over transmitter
-        # edges; ``vectorized=False`` keeps the original scalar scan as
-        # the bit-exact reference (regression-pinned in tests).
-        self.vectorized = vectorized
 
     def price(self, payload: Any) -> int:
         return payload_bits_cached(payload)
@@ -612,41 +508,12 @@ class BroadcastChannel(Channel):
                 if bits > max_bits:
                     max_bits = bits
         network.max_message_bits = max_bits
-        inboxes: Dict[int, List[Message]] = {}
         if not transmitters:
-            return inboxes
-        if self.vectorized:
-            return self._scan_vectorized(transmitters, awake, inboxes)
-        return self._scan_scalar(ordered, transmitters, inboxes)
+            return {}
+        return self._listen(transmitters, awake)
 
-    def _scan_scalar(self, ordered, transmitters, inboxes):
-        """Reference listener scan: O(deg) membership test per listener."""
-        network = self._network
-        contexts = network.contexts
-        ledger = network.ledger
-        for node in ordered:
-            if node in transmitters:
-                continue  # half-duplex: transmitters cannot listen
-            ctx = contexts[node]
-            if ctx._halted:
-                continue
-            heard = [u for u in ctx.neighbors if u in transmitters]
-            if not heard:
-                continue
-            if len(heard) == 1:
-                sender = heard[0]
-                inboxes[node] = [Message(sender, transmitters[sender])]
-                network.messages_delivered += 1
-            else:
-                network.messages_dropped += len(heard)
-                network.collisions += 1
-                if self.collision_cost:
-                    ledger.charge(node, self.collision_cost)
-                if self.collision_detection:
-                    inboxes[node] = [COLLISION_MESSAGE]
-        return inboxes
-
-    def _scan_vectorized(self, transmitters, awake, inboxes):
+    def _listen(self, transmitters: Dict[int, Any],
+                awake: Set[int]) -> Dict[int, List[Message]]:
         """One bincount over transmitter edges replaces all listener scans.
 
         ``counts[i]`` is the number of transmitting neighbors of rank
@@ -656,11 +523,10 @@ class BroadcastChannel(Channel):
         visited, so a round costs O(sum of transmitter degrees) plus
         O(listeners who hear anything) — independent of listener degree.
 
-        Accounting is identical to the scalar scan, including the
-        half-duplex rule that a node transmitting into a >= 2-transmitter
-        neighborhood pays its transmit slot only, never an additional
-        collision charge (it cannot listen, so it cannot waste a
-        listening slot).
+        A node transmitting into a >= 2-transmitter neighborhood pays its
+        transmit slot only, never an additional collision charge
+        (half-duplex: it cannot listen, so it cannot waste a listening
+        slot).
         """
         import numpy as np
 
@@ -669,6 +535,7 @@ class BroadcastChannel(Channel):
         network = self._network
         contexts = network.contexts
         ledger = network.ledger
+        inboxes: Dict[int, List[Message]] = {}
         arrays = graph_arrays(network)
         rank = arrays.rank
         indptr, indices = arrays.indptr, arrays.indices
@@ -721,11 +588,9 @@ class BroadcastChannel(Channel):
 #: a fresh instance, so one spec string can configure many networks.
 CHANNELS: Dict[str, Callable[[], Channel]] = {
     "congest": CongestChannel,
-    "congest-per-message": lambda: CongestChannel(batched=False),
     "local": LocalChannel,
     "broadcast": BroadcastChannel,
     "broadcast-no-cd": lambda: BroadcastChannel(collision_detection=False),
-    "broadcast-scalar": lambda: BroadcastChannel(vectorized=False),
 }
 
 ChannelSpec = Union[str, Channel, Callable[[], Channel], None]

@@ -40,13 +40,14 @@ rounds:
   rounds of the paper's Phase I kernels alike (the kernel builds each
   round's awake mask from the wake calendar).
 
-``Network.run(engine="legacy")`` (or the :func:`engine_mode` scope) restores
-the naive one-``step``-per-round loop; :func:`engine_mode` selects between
-``auto``/``fast``/``legacy``/``vectorized`` globally. With no channel
-fault active, all paths are bit-identical in outputs, metrics, and ledger
-state (see ``tests/test_engine_equivalence.py``); under an active channel
-fault the vectorized path draws its drops per CSR edge slot, so it sees a
-different fault pattern than the scalar paths.
+:func:`engine_mode` (or ``Network.run(engine=...)``) selects between
+``auto``/``fast``/``vectorized``. With no channel fault active, the paths
+are bit-identical in outputs, metrics, and ledger state to each other and
+to the naive one-``step``-per-round loop, which survives as a test oracle
+(``tests/oracles.py``; see ``tests/test_engine_equivalence.py``). Under
+an active lossy channel the vectorized path draws its drops per CSR edge
+slot, so it sees a different fault pattern than the scalar paths; an
+active corrupting channel keeps the vectorized path off.
 
 Programs that declare a ``state_schema()`` keep their per-node state in
 flat network-owned columns (see :mod:`repro.congest.state`); the
@@ -63,7 +64,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import networkx as nx
 
 from ..obs.instrument import NULL_INSTRUMENT, resolve_instrument
-from .channels import ChannelSpec, CongestChannel, LocalChannel, make_channel
+from .channels import ChannelSpec, make_channel
 from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
@@ -79,11 +80,10 @@ from .vectorized import GraphArrays
 #:   (and the channel supports it, and the graph is big enough to amortize
 #:   numpy overhead), else the cached fast loop with idle fast-forward;
 #: * ``"fast"`` — the cached round loop, never vectorized;
-#: * ``"legacy"`` — the naive one-``step``-per-round seed loop;
 #: * ``"vectorized"`` — like auto, but *raises*
 #:   :class:`~repro.congest.errors.VectorizationError` instead of silently
 #:   falling back when the vectorized path cannot engage at all.
-ENGINE_MODES = ("auto", "fast", "legacy", "vectorized")
+ENGINE_MODES = ("auto", "fast", "vectorized")
 
 # Module-level switch so whole algorithm drivers (which call ``network.run()``
 # internally) can be forced onto one engine path for equivalence testing
@@ -177,7 +177,7 @@ class Network:
         (``"congest"``, ``"local"``, ``"broadcast"``, ...), a
         :class:`~repro.congest.channels.Channel` instance, or a factory.
         Defaults to the innermost :func:`~repro.congest.channels
-        .channel_scope`, falling back to batched CONGEST.
+        .channel_scope`, falling back to CONGEST.
     instrument:
         Observer for run/round/phase events (see :mod:`repro.obs`).
         Defaults to the innermost :func:`~repro.obs.instrument_scope`,
@@ -559,9 +559,10 @@ class Network:
         program class, that class declares the capability (overrides
         ``NodeProgram.vector_round`` with a factory), the network bound the
         programs' state to schema columns (kernels load and flush only
-        those), and the channel is a plain point-to-point model (CONGEST
-        or LOCAL — radio delivery is vectorized inside
-        :class:`BroadcastChannel` instead).  In auto mode
+        those), and the channel stack raises no
+        :meth:`~repro.congest.channels.Channel.vector_obstacle` (radio
+        delivery is vectorized inside :class:`BroadcastChannel`
+        instead).  In auto mode
         small graphs additionally fall back to the cached loop
         (:data:`VECTOR_AUTO_MIN_NODES`); ``force`` bypasses that floor.
         """
@@ -579,12 +580,9 @@ class Network:
             cls = type(first)
             factory = getattr(cls, "vector_round", None)
             if callable(factory):
-                base = self.channel.unwrapped()
-                if type(base) not in (CongestChannel, LocalChannel):
-                    reason = (
-                        f"channel {self.channel.name!r} has no vectorized "
-                        f"point-to-point delivery"
-                    )
+                obstacle = self.channel.vector_obstacle()
+                if obstacle is not None:
+                    reason = obstacle
                 elif self._fault_injector is not None:
                     reason = (
                         "node-fault injection (crash/straggler plans) "
@@ -666,23 +664,19 @@ class Network:
     ) -> RunMetrics:
         """Run until no node will ever wake again (or ``max_rounds``).
 
-        Three engine paths, bit-identical in outputs, metrics, and ledger
-        state when no channel fault is active
-        (``tests/test_engine_equivalence.py``):
-
-        * the default fast path jumps over idle stretches (rounds where no
-          node is awake) in O(1) per stretch and runs a cached round loop;
-        * ``engine="legacy"`` (or the module-level :func:`engine_mode`
-          scope) steps every round the naive way;
-        * every round with someone awake — always-on or wake-scheduled —
-          of capability-declaring programs runs through the vectorized
-          round path (``engine="vectorized"`` to require it,
-          ``engine="fast"`` to forbid it; default ``"auto"``).
+        Idle stretches (rounds where no node is awake) are jumped over in
+        O(1) per stretch; every round with someone awake — always-on or
+        wake-scheduled — of capability-declaring programs runs through the
+        vectorized round path (``engine="vectorized"`` to require it,
+        ``engine="fast"`` to forbid it; default ``"auto"``, or the
+        module-level :func:`engine_mode` scope), every other round through
+        the cached scalar :meth:`step`. All paths are bit-identical in
+        outputs, metrics, and ledger state when no channel fault is active
+        (``tests/test_engine_equivalence.py``).
         """
         if not self._started:
             self.start()
         mode = self._resolve_engine(engine)
-        use_legacy = mode == "legacy"
         runner = None
         if mode in ("auto", "vectorized"):
             runner = self._vector_runner(force=mode == "vectorized")
@@ -694,7 +688,7 @@ class Network:
                     )
                 if self._try_vector_step(runner):
                     continue
-                if use_legacy or self._always_on:
+                if self._always_on:
                     self._flush_runner(runner)
                     self.step()
                     continue
@@ -729,7 +723,6 @@ class Network:
         if not self._started:
             self.start()
         mode = self._resolve_engine(engine)
-        use_legacy = mode == "legacy"
         runner = None
         if mode in ("auto", "vectorized"):
             runner = self._vector_runner(force=mode == "vectorized")
@@ -738,7 +731,7 @@ class Network:
             while self.round_index < end:
                 if self._try_vector_step(runner):
                     continue
-                if use_legacy or self._always_on:
+                if self._always_on:
                     self._flush_runner(runner)
                     self.step()
                     continue

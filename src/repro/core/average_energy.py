@@ -32,7 +32,7 @@ leftovers).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Optional
 
 import networkx as nx
 import numpy as np
@@ -46,7 +46,7 @@ from .phase1_alg1 import Phase1Alg1Program, run_phase1_alg1
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
 from .phase3 import _derive_seed, run_phase3
-from .phase_result import PhaseResult, run_network_phase
+from .phase_result import PhaseResult, phase_metrics, run_network_phase
 from .pipeline import combine_phases, driver_inputs, observed_phase
 
 
@@ -279,15 +279,26 @@ def run_sparsify(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    failed: Iterable[int] = (),
 ) -> PhaseResult:
     """Lemma 4.5 substitute: decide most nodes of a low-degree graph.
 
     A full one-shot regularized-Luby cascade (degree halving from Δ down to
     1) with only ``O(log log n)`` rounds per iteration. See the module
     docstring for why this stands in for [GP22, §3.2].
+
+    ``failed`` is Lemma 4.2's failed set, outside ``graph``: its nodes
+    slept through the cascade and wake for one status round, concurrent
+    with the hand-off round, to learn whether a neighbor joined. That
+    round is charged and counted in this phase.
     """
     if graph.number_of_nodes() == 0:
-        return PhaseResult.idle((), {})
+        result = PhaseResult.idle((), {})
+        if failed:
+            before = ledger.snapshot()
+            ledger.charge_many(failed, 1)
+            result.metrics = phase_metrics(0, before, ledger, failed)
+        return result
     n = size_bound if size_bound is not None else graph.number_of_nodes()
     degree = max_degree(graph)
     iterations = math.ceil(math.log2(max(2, degree))) + 1
@@ -301,7 +312,8 @@ def run_sparsify(
     }
     result, _ = run_network_phase(
         graph, programs, 3 * iterations * rounds_per_iteration, seed=seed,
-        ledger=ledger, size_bound=n, handoff_round=True, hand_off=False,
+        ledger=ledger, size_bound=n, handoff_round=True, bystanders=failed,
+        hand_off=False,
     )
     result.details = {
         "iterations": iterations,
@@ -338,15 +350,13 @@ def _compose_average_energy(
     failed = lemma42.details["failed"]
     sparsified = observed_phase(
         "sparsify", run_sparsify, lemma42.residual,
-        seed=_derive_seed(seed, 13), **common,
+        seed=_derive_seed(seed, 13), failed=failed, **common,
     )
 
     # Failed nodes slept through the sparsifier but live in the same
     # residual graph: any of them adjacent to a sparsifier joiner is
-    # dominated, not leftover. They learn this in the one status round
-    # charged below (concurrent with the sparsifier's hand-off round).
-    if failed:
-        ledger.charge_many(failed, 1)
+    # dominated, not leftover. They learn this in the status round the
+    # sparsify phase charged them (concurrent with its hand-off round).
     dominated_failed = {
         node
         for node in failed

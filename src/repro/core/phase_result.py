@@ -121,6 +121,7 @@ def run_network_phase(
     ledger: Optional[EnergyLedger],
     size_bound: int,
     handoff_round: bool = False,
+    bystanders: Iterable[int] = (),
     hand_off: bool = True,
     set_aside: Optional[str] = None,
 ) -> Tuple[PhaseResult, Network]:
@@ -133,10 +134,12 @@ def run_network_phase(
     dominated, every other node remains. ``handoff_round`` charges (and
     counts) one trailing round in which every node wakes to exchange its
     status — the hand-off the paper performs at the start of the next,
-    all-awake phase. The residual is the input induced on the remaining
-    nodes, less those whose boolean output ``set_aside`` is set (they
-    stay in ``remaining`` but skip the next phase, like Lemma 4.2's
-    failed set); ``hand_off=False`` induces none.
+    all-awake phase; ``bystanders`` (nodes outside ``graph``) wake for it
+    too, and are charged and counted in the phase's energy scope. The
+    residual is the input induced on the remaining nodes, less those
+    whose boolean output ``set_aside`` is set (they stay in ``remaining``
+    but skip the next phase, like Lemma 4.2's failed set);
+    ``hand_off=False`` induces none.
 
     Returns the checked :class:`PhaseResult`, whose ``details`` the
     caller fills, and the network for reading further outputs.
@@ -148,8 +151,10 @@ def run_network_phase(
         graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
     )
     network.run_rounds(rounds)
+    scope = list(graph.nodes)
     if handoff_round:
-        ledger.charge_many(graph.nodes, 1)
+        scope.extend(bystanders)
+        ledger.charge_many(scope, 1)
         rounds += 1
 
     joined = flagged(network, "joined")
@@ -159,7 +164,7 @@ def run_network_phase(
     dominated -= joined
     remaining = set(graph.nodes) - joined - dominated
 
-    metrics = phase_metrics(rounds, before, ledger, graph.nodes, [network])
+    metrics = phase_metrics(rounds, before, ledger, scope, [network])
     residual = None
     if hand_off:
         kept = remaining

@@ -164,6 +164,9 @@ class FaultChannel(Channel):
     def unwrapped(self) -> Channel:
         return self.inner.unwrapped()
 
+    def vector_obstacle(self) -> Optional[str]:
+        return self.inner.vector_obstacle()
+
     # -- fault randomness ----------------------------------------------
     def _round_rng(self, round_index: int) -> np.random.Generator:
         """A stateless per-round generator, independent of algorithm RNG."""
@@ -274,12 +277,10 @@ class CorruptingChannel(FaultChannel):
     value's bit length, so a corrupted message still fits the CONGEST
     budget it was priced under.
 
-    The vectorized engine models corruption as *detected loss* (the keep
-    mask drops the slot): dense vector programs consume aggregate
-    statistics of their inboxes rather than payload bytes, so a garbled
-    flag is indistinguishable from an erasure at that altitude.  Faulty
-    runs therefore need not match between scalar and vectorized engines —
-    only the zero-rate wrapper is required to be transparent everywhere.
+    The dense-round kernels never read payloads, so they cannot corrupt
+    one: an active wrapper keeps the vectorized engine off (auto mode runs
+    the scalar loop, forced mode raises), and only the zero-rate wrapper
+    vectorizes.
     """
 
     kind = "corrupt"
@@ -332,10 +333,13 @@ class CorruptingChannel(FaultChannel):
             out[receiver] = messages
         return out
 
-    def _vector_state(self, arrays):
-        if not self.active:
-            return None
-        return _EdgeDropState(arrays, seed=self.seed, drop=self.flip, burst=0.0)
+    def vector_obstacle(self) -> Optional[str]:
+        if self.active:
+            return (
+                f"an active {self.spec_label()} wrapper rewrites payloads, "
+                f"which the dense-round kernels never read"
+            )
+        return super().vector_obstacle()
 
 
 class AdversarialJammer(FaultChannel):

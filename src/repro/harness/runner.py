@@ -102,9 +102,9 @@ RADIO_SAFE_ALGORITHMS = frozenset(
 #: (``NodeProgram.vector_round``). For these the engine's
 #: ``"vectorized"``/default ``"auto"`` mode executes dense rounds as
 #: whole-network numpy steps; ``tests/test_engine_equivalence.py`` both
-#: proves the path bit-identical to fast/legacy for *every* registered
-#: algorithm and fails if it silently never engages for an algorithm
-#: listed here.
+#: proves the path bit-identical to ``fast`` and to the step-every-round
+#: oracle of ``tests/oracles.py`` for *every* registered algorithm and
+#: fails if it silently never engages for an algorithm listed here.
 VECTOR_CAPABLE_ALGORITHMS = frozenset(
     name
     for name, row in ALGORITHM_TABLE.items()

@@ -1,8 +1,8 @@
 """RL2xx — determinism checks for per-node hooks and vector kernels.
 
 The repo's correctness story is bit-identical outputs across the
-{legacy, fast, vectorized} engine paths and across ``n_jobs`` worker
-splits.  That only holds while every random draw comes from the engine's
+{fast, vectorized} engine paths, the step-every-round oracle
+(``tests/oracles.py``), and ``n_jobs`` worker splits.  That only holds while every random draw comes from the engine's
 keyed per-node streams (``ctx.rng`` in hooks, ``self.draws`` in kernels)
 in a deterministic per-node sequence: ambient RNG, wall-clock reads, and
 hash-ordered iteration each break it in ways the equivalence matrices

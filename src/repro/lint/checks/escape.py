@@ -1,8 +1,8 @@
 """RL3xx — escape analysis for per-round engine objects.
 
-``Context`` objects and inbox views are *loans*: the engines (legacy,
-fast, vectorized) rebuild or recycle them between rounds, and the fast
-path backs ``messages`` with an ``_InboxView`` over a buffer that is
+``Context`` objects and inbox views are *loans*: the engines (fast,
+vectorized) recycle them between rounds, and the point-to-point channels
+back ``messages`` with an ``_InboxView`` over a buffer that is
 overwritten next round.  Any of them stored on ``self`` outlives the
 loan and turns into a stale read on the next round — or pickles the
 whole engine into checkpoint blobs.
@@ -128,8 +128,7 @@ class CtxEscapeCheck(Check):
 
     rationale = """
 The Context handed to on_start/on_round/on_receive is a per-node view
-the engine rebuilds (legacy path) or recycles in place (fast and
-vectorized paths) every round. A Context kept on self therefore points
+the engine recycles in place (fast and vectorized paths) every round. A Context kept on self therefore points
 at whatever node/round the engine reused it for next — reads through it
 are stale or cross-node — and, because Context holds the outbox and
 network references, a checkpoint of the program pickles half the engine
@@ -182,9 +181,9 @@ class InboxEscapeCheck(Check):
     )
     rationale = """
 on_receive's messages argument is an _InboxView over a delivery buffer
-the fast engine overwrites next round (the legacy engine hands out a
-fresh list, which is how this class of bug hides in small tests and
-explodes at n=10^6). Storing the view — or individual Message objects
+the CONGEST/LOCAL channel overwrites next round (the per-Message test
+oracle in tests/oracles.py hands out a fresh list, which is how this
+class of bug hides in small tests and explodes at n=10^6). Storing the view — or individual Message objects
 pulled from it — on self means next round's reads see this round's
 buffer reused for other traffic. Extract payloads/senders into plain
 values inside the hook; list(messages) copies references, not the

@@ -22,6 +22,8 @@ from repro.congest import (
     make_channel,
 )
 
+from oracles import channel_spec
+
 
 class Scripted(NodeProgram):
     """Transmit per a {round: payload} script; record everything heard."""
@@ -63,8 +65,7 @@ class TestMakeChannel:
 
     def test_default_is_batched_congest(self):
         channel = make_channel(None)
-        assert isinstance(channel, CongestChannel)
-        assert channel.batched
+        assert type(channel) is CongestChannel
 
     def test_scope_sets_default_and_nests(self):
         with channel_scope("local"):
@@ -352,7 +353,7 @@ class TestBroadcastCollisionAccounting:
         graph = nx.complete_graph(3)
         programs = {0: Scripted(), 1: Scripted({0: "a"}),
                     2: Scripted({0: "b"})}
-        network = _run_rounds(graph, programs, 1, channel)
+        network = _run_rounds(graph, programs, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 1
         assert metrics.messages_sent == 2
@@ -371,7 +372,7 @@ class TestBroadcastCollisionAccounting:
         # Every node transmits: nobody listens, so no collisions at all.
         graph = nx.complete_graph(3)
         programs = {v: Scripted({0: f"p{v}"}) for v in graph.nodes}
-        network = _run_rounds(graph, programs, 1, channel)
+        network = _run_rounds(graph, programs, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 0
         assert metrics.messages_sent == 3
@@ -386,7 +387,7 @@ class TestBroadcastCollisionAccounting:
         graph = nx.path_graph(4)
         programs = {0: Scripted(), 1: Scripted({0: "x"}),
                     2: Scripted(), 3: Scripted({0: "y"})}
-        network = _run_rounds(graph, programs, 1, channel)
+        network = _run_rounds(graph, programs, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 1
         assert metrics.messages_sent == 2
@@ -405,7 +406,7 @@ class TestBroadcastCollisionAccounting:
         for channel in ("broadcast", "broadcast-scalar"):
             ledger = EnergyLedger(graph.nodes)
             result = radio_decay_mis(
-                graph, seed=seed, ledger=ledger, channel=channel
+                graph, seed=seed, ledger=ledger, channel=channel_spec(channel)
             )
             runs[channel] = (result, ledger.snapshot())
         vectorized, scalar = runs["broadcast"], runs["broadcast-scalar"]

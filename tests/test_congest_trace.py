@@ -12,6 +12,8 @@ from repro.congest import (
     NodeProgram,
 )
 
+from oracles import engine_path
+
 
 class CountdownProgram(NodeProgram):
     def __init__(self, rounds):
@@ -169,7 +171,8 @@ class TestIdleSpanRoundTrip:
             network = Network(
                 graph, {v: Gappy() for v in graph.nodes}, trace=True
             )
-            network.run(engine=engine)
+            with engine_path(engine):
+                network.run()
             return network.trace
 
         fast, legacy = run("fast"), run("legacy")
@@ -218,7 +221,8 @@ class TestStaleInboxViewsAcrossFastForward:
         graph = nx.path_graph(2)
         programs = {v: self._Stasher() for v in graph.nodes}
         network = Network(graph, programs)
-        network.run(engine=engine)
+        with engine_path(engine):
+            network.run()
         assert network.metrics().rounds == 41
         for node, program in programs.items():
             assert program.stashed is not None, node

@@ -3,8 +3,9 @@
 The engine's idle-round fast-forward and cached round loop are pure
 optimizations: for every algorithm and workload, outputs, metrics, and
 ledger state must be *bit-identical* to the naive one-step-per-round loop
-(``Network.run(engine="legacy")`` / ``engine_mode("legacy")``). This
-suite locks that in for every registered algorithm on several graph
+(the ``"legacy"`` oracle of ``tests/oracles.py``: ``legacy_engine()``,
+``run_legacy``, ``run_rounds_legacy``). This suite locks that in for
+every registered algorithm on several graph
 families, and for hand-built schedules that exercise the tricky corners
 (idle gaps, mid-run halts, re-scheduling, truncated ``run_rounds``).
 
@@ -16,12 +17,13 @@ tests prove that a kernel engagement leaves exactly the state a scalar
 run would have. Programs without state columns must
 decline vectorization with a stated reason.
 
-The channel layer adds another axis: ``CongestChannel(batched=True)``
-(flat per-edge buffers, lazy inbox views) must be bit-identical to
-``CongestChannel(batched=False)`` — the pre-refactor per-``Message``
-delivery loop kept verbatim as the reference semantics — on *both* engine
-paths. The four-way matrix {batched, per-message} × {fast, legacy} proves
-the batched hot path preserves the seed semantics exactly.
+The channel layer adds another axis: ``CongestChannel`` and
+``LocalChannel`` (one delivery loop: flat per-edge buffers, lazy inbox
+views) must be bit-identical to the pre-refactor per-``Message`` delivery
+loops kept as oracles (``congest-per-message``, ``local-per-message``) on
+*both* engine paths. The matrix {batched, per-message} × {fast, legacy},
+for CONGEST and for LOCAL, proves the shipped loop preserves the seed
+semantics exactly.
 """
 
 import networkx as nx
@@ -46,8 +48,17 @@ from repro.harness import (
     VECTOR_CAPABLE_ALGORITHMS,
     run_algorithm,
 )
+from repro.harness.runner import RADIO_SAFE_ALGORITHMS
 
 from kernel_programs import KERNEL_PROGRAMS, kernel_programs
+from oracles import (
+    channel_spec,
+    engine_path,
+    legacy_engine,
+    run_legacy,
+    run_rounds_legacy,
+    stepped_idle_rounds,
+)
 
 FAMILIES = ["gnp_log_degree", "geometric", "grid"]
 N = 64
@@ -74,7 +85,7 @@ def test_algorithms_identical_across_engine_paths(algorithm, family):
 
     fast_ledger = EnergyLedger(graph.nodes)
     fast = run_algorithm(algorithm, graph, seed=5, ledger=fast_ledger)
-    with engine_mode("legacy"):
+    with legacy_engine():
         legacy_ledger = EnergyLedger(graph.nodes)
         legacy = run_algorithm(algorithm, graph, seed=5, ledger=legacy_ledger)
 
@@ -93,33 +104,40 @@ def test_batched_channel_identical_to_per_message_reference(algorithm, family):
     verbatim, so equality here (on the fast *and* the legacy engine)
     certifies the batched channel against the original engine bit for bit:
     same outputs, same metrics (message counts, bit totals, maxima), same
-    per-node energy ledgers.
+    per-node energy ledgers. ``local`` runs CONGEST's loop with a zero
+    price, so it is pinned the same way to ``local-per-message`` and must
+    account no bits at all.
     """
     graph = graphs.make_family(family, N, seed=5)
 
-    results = {}
-    for channel in ("congest", "congest-per-message"):
-        for use_legacy in (False, True):
-            ledger = EnergyLedger(graph.nodes)
-            with channel_scope(channel):
-                if use_legacy:
-                    with engine_mode("legacy"):
+    for base in ("congest", "local"):
+        results = {}
+        for channel in (base, f"{base}-per-message"):
+            for use_legacy in (False, True):
+                ledger = EnergyLedger(graph.nodes)
+                with channel_scope(channel_spec(channel)):
+                    if use_legacy:
+                        with legacy_engine():
+                            result = run_algorithm(
+                                algorithm, graph, seed=5, ledger=ledger
+                            )
+                    else:
                         result = run_algorithm(
                             algorithm, graph, seed=5, ledger=ledger
                         )
-                else:
-                    result = run_algorithm(
-                        algorithm, graph, seed=5, ledger=ledger
-                    )
-            results[(channel, use_legacy)] = (result, ledger.snapshot())
+                results[(channel, use_legacy)] = (result, ledger.snapshot())
 
-    reference, reference_ledger = results[("congest-per-message", True)]
-    for key, (result, ledger_snapshot) in results.items():
-        assert result.mis == reference.mis, key
-        assert _metrics_tuple(result.metrics) == \
-            _metrics_tuple(reference.metrics), key
-        assert result.metrics == reference.metrics, key
-        assert ledger_snapshot == reference_ledger, key
+        reference, reference_ledger = results[(f"{base}-per-message", True)]
+        for key, (result, ledger_snapshot) in results.items():
+            assert result.mis == reference.mis, key
+            assert _metrics_tuple(result.metrics) == \
+                _metrics_tuple(reference.metrics), key
+            assert result.metrics == reference.metrics, key
+            assert ledger_snapshot == reference_ledger, key
+            if base == "local" and algorithm not in RADIO_SAFE_ALGORITHMS:
+                # radio_decay keeps its own broadcast medium under any
+                # scope; every other algorithm ran on LOCAL.
+                assert result.metrics.total_message_bits == 0, key
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -139,7 +157,7 @@ def test_three_way_engine_matrix(algorithm, family):
     results = {}
     for mode in ("fast", "legacy", "auto"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_mode(mode):
+        with engine_path(mode):
             result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
         results[mode] = (result, ledger.snapshot())
 
@@ -201,7 +219,7 @@ def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
     results = {}
     for mode in ("fast", "legacy", "vectorized"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_mode(mode):
+        with engine_path(mode):
             result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
         results[mode] = (result, ledger.snapshot())
 
@@ -290,7 +308,7 @@ class TestStateColumns:
             )
 
         reference = fresh()
-        reference.run_rounds(cut, engine="legacy")
+        run_rounds_legacy(reference, cut)
         flushed = fresh()
         flushed.run_rounds(cut, engine="vectorized")
         assert flushed.vector_rounds > 0
@@ -324,7 +342,7 @@ class TestStateColumns:
             )
 
         reference = fresh()
-        reference.run(engine="legacy")
+        run_legacy(reference)
         hybrid = fresh()
         hybrid.run_rounds(cut, engine="vectorized")
         assert hybrid.vector_rounds == cut
@@ -380,7 +398,7 @@ class TestScheduleAwareKernels:
         for family, seed in self.FAMILY_SEEDS:
             graph = graphs.make_family(family, 96, seed=seed)
             reference = make_network(graph, trace=True)
-            reference.run_rounds(total_rounds, engine="legacy")
+            run_rounds_legacy(reference, total_rounds)
             vectorized = make_network(graph, trace=True)
             vectorized.run_rounds(total_rounds, engine="vectorized")
             assert vectorized.vector_rounds > 0, family
@@ -411,7 +429,7 @@ class TestScheduleAwareKernels:
         continuation matches a pure scalar run."""
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
         reference = self._alg1_network(graph)
-        reference.run_rounds(3 * 32, engine="legacy")
+        run_rounds_legacy(reference, 3 * 32)
         hybrid = self._alg1_network(graph)
         hybrid.run_rounds(cut, engine="vectorized")
         hybrid.run_rounds(3 * 32 - cut, engine="fast")
@@ -424,7 +442,7 @@ class TestScheduleAwareKernels:
         total = 4 * 6 + 4
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
         reference = self._alg2_network(graph)
-        reference.run_rounds(total, engine="legacy")
+        run_rounds_legacy(reference, total)
         hybrid = self._alg2_network(graph)
         hybrid.run_rounds(cut, engine="vectorized")
         hybrid.run_rounds(total - cut, engine="fast")
@@ -451,7 +469,7 @@ class TestScheduleAwareKernels:
             )
 
         reference = fresh()
-        reference.run(engine="legacy")
+        run_legacy(reference)
         hybrid = fresh()
         hybrid.run_rounds(cut, engine="vectorized")
         assert hybrid.vector_rounds == cut
@@ -472,7 +490,7 @@ def test_forced_vectorized_ignores_small_graph_floor():
     with engine_mode("vectorized"):
         forced = run_algorithm("luby", graph, seed=5)
     assert vector_stats()["rounds"] > 0
-    with engine_mode("legacy"):
+    with legacy_engine():
         reference = run_algorithm("luby", graph, seed=5)
     assert forced.mis == reference.mis
     assert forced.metrics == reference.metrics
@@ -505,7 +523,7 @@ def test_heterogeneous_program_parameters_decline_vectorization():
     with pytest.raises(VectorizationError, match="declined"):
         make(mixed=True).run(engine="vectorized")
     legacy = make(mixed=True)
-    legacy.run(engine="legacy")
+    run_legacy(legacy)
     assert network.outputs("in_mis") == legacy.outputs("in_mis")
     assert network.metrics() == legacy.metrics()
     # Homogeneous parameters still vectorize.
@@ -547,7 +565,7 @@ def test_program_without_state_schema_declines_vectorization():
     network.run()
     assert network.vector_rounds == 0
     legacy = make()
-    legacy.run(engine="legacy")
+    run_legacy(legacy)
     assert network.metrics() == legacy.metrics()
 
 
@@ -564,7 +582,7 @@ def test_vectorized_truncation_resumes_scalar_bit_identically(cut):
         )
 
     reference = fresh()
-    reference.run(engine="legacy")
+    run_legacy(reference)
 
     hybrid = fresh()
     hybrid.run_rounds(cut, engine="vectorized")
@@ -609,7 +627,8 @@ class TestScheduledWorkloads:
             ledger=ledger,
             trace=True,
         )
-        runner(network, engine)
+        with engine_path(engine):
+            runner(network)
         return network
 
     def _assert_identical(self, runner):
@@ -631,19 +650,17 @@ class TestScheduledWorkloads:
             legacy.trace.sleep_diagram(sorted(legacy.contexts))
 
     def test_run_to_completion(self):
-        self._assert_identical(lambda net, engine: net.run(engine=engine))
+        self._assert_identical(lambda net: net.run())
 
     def test_run_rounds_truncated_mid_gap(self):
         # 55 rounds ends inside an idle stretch: the fast path must still
         # advance simulated time to exactly the same round.
-        self._assert_identical(
-            lambda net, engine: net.run_rounds(55, engine=engine)
-        )
+        self._assert_identical(lambda net: net.run_rounds(55))
 
     def test_run_rounds_then_run(self):
-        def runner(net, engine):
-            net.run_rounds(10, engine=engine)
-            net.run(engine=engine)
+        def runner(net):
+            net.run_rounds(10)
+            net.run()
 
         self._assert_identical(runner)
 
@@ -656,12 +673,13 @@ def test_module_level_switch():
             ctx.output["ran"] = ctx.round
             ctx.halt()
 
-    set_engine_mode("legacy")
-    try:
-        legacy_net = Network(graph, {v: Once() for v in graph.nodes})
-        legacy_metrics = legacy_net.run()
-    finally:
-        set_engine_mode("auto")
+    with stepped_idle_rounds():
+        set_engine_mode("fast")
+        try:
+            legacy_net = Network(graph, {v: Once() for v in graph.nodes})
+            legacy_metrics = legacy_net.run()
+        finally:
+            set_engine_mode("auto")
     fast_net = Network(graph, {v: Once() for v in graph.nodes})
     assert fast_net.run() == legacy_metrics
     assert fast_net.outputs("ran") == legacy_net.outputs("ran")
@@ -681,6 +699,7 @@ def test_pruned_halt_schedules_agree_with_pending_work():
     graph = nx.path_graph(3)
     for engine in ("fast", "legacy"):
         network = Network(graph, {v: ScheduleThenHalt() for v in graph.nodes})
-        metrics = network.run(max_rounds=10_000, engine=engine)
+        with engine_path(engine):
+            metrics = network.run(max_rounds=10_000)
         assert metrics.rounds == 2  # not 500_001, and no limit error
         assert not network.has_pending_work()

@@ -5,7 +5,8 @@ The two contracts everything else builds on:
 * **zero-rate transparency** — an inactive wrapper (drop/flip/jam rate 0,
   empty fault plan) draws no randomness and returns every inbox
   untouched, so a wrapped run is bit-identical to the unwrapped one on
-  every engine path (legacy, fast, vectorized);
+  every engine path (fast, vectorized) and on the step-every-round
+  oracle (``"legacy"``, ``tests/oracles.py``);
 * **fault determinism** — the fault stream is seeded independently of the
   algorithm RNG (a per-round ``SeedSequence([fault_seed, round])``), so
   the same fault seed reproduces the identical faulty run, serially and
@@ -19,6 +20,7 @@ from repro.congest import (
     BroadcastChannel,
     ChannelError,
     CongestChannel,
+    EnergyLedger,
     VectorizationError,
     engine_mode,
     make_channel,
@@ -36,6 +38,8 @@ from repro.faults import (
 )
 from repro.graphs import make_family
 from repro.harness import measure_many, run_algorithm
+
+from oracles import engine_path, legacy_engine
 
 N = 48
 SEED = 7
@@ -80,9 +84,9 @@ ENGINES = ["legacy", "fast", "auto"]
 )
 def test_zero_rate_wrapper_is_transparent(engine, spec):
     graph = _graph()
-    set_engine_mode(engine)
-    bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
-    wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
+    with engine_path(engine):
+        bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
+        wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
 
@@ -90,20 +94,25 @@ def test_zero_rate_transparent_on_forced_vectorized():
     graph = make_family("gnp_log_degree", 96, seed=SEED)
     set_engine_mode("vectorized")
     bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
-    wrapped = run_algorithm(
-        "luby", graph, seed=SEED, channel="lossy(drop=0.0,seed=3):congest"
-    )
-    assert _fingerprint(bare) == _fingerprint(wrapped)
+    # A zero-rate corrupt(...) is inactive, so it must not decline the
+    # forced vector path the way an active one does.
+    for spec in (
+        "lossy(drop=0.0,seed=3):congest", "corrupt(flip=0.0,seed=3):congest"
+    ):
+        wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
+        assert _fingerprint(bare) == _fingerprint(wrapped), spec
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_rate_jammer_is_transparent(engine):
     graph = _graph()
-    set_engine_mode(engine)
-    bare = run_algorithm("radio_decay", graph, seed=SEED, channel="broadcast")
-    wrapped = run_algorithm(
-        "radio_decay", graph, seed=SEED, channel="jam(rate=0.0):broadcast"
-    )
+    with engine_path(engine):
+        bare = run_algorithm(
+            "radio_decay", graph, seed=SEED, channel="broadcast"
+        )
+        wrapped = run_algorithm(
+            "radio_decay", graph, seed=SEED, channel="jam(rate=0.0):broadcast"
+        )
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
 
@@ -156,7 +165,7 @@ def test_fast_and_legacy_agree_under_active_faults():
     spec = "lossy(drop=0.15,seed=5):congest"
     set_engine_mode("fast")
     fast = run_algorithm("luby", graph, seed=SEED, channel=spec)
-    with engine_mode("legacy"):
+    with legacy_engine():
         legacy = run_algorithm("luby", graph, seed=SEED, channel=spec)
     assert _fingerprint(fast) == _fingerprint(legacy)
 
@@ -213,6 +222,35 @@ def test_auto_mode_falls_back_for_node_fault_plans():
     set_engine_mode("auto")
     result = run_algorithm("luby", graph, seed=SEED, faults=plan)
     assert result.rounds > 0
+
+
+CORRUPT = "corrupt(flip=0.05,seed=3):congest"
+
+
+@pytest.mark.parametrize("algorithm", ["luby", "ghaffari2016", "algorithm1"])
+def test_active_corruption_runs_auto_identical_to_fast(algorithm):
+    """The dense-round kernels never read payloads, so they cannot corrupt
+    one: an active corrupt(...) wrapper keeps auto mode on the scalar
+    loop, bit for bit."""
+    graph = make_family("gnp_log_degree", 200, seed=SEED)
+    runs = {}
+    for mode in ("fast", "auto"):
+        ledger = EnergyLedger(graph.nodes)
+        with engine_mode(mode):
+            result = run_algorithm(
+                algorithm, graph, seed=SEED, ledger=ledger, channel=CORRUPT
+            )
+        runs[mode] = (
+            result.mis, result.metrics.to_dict(), ledger.snapshot()
+        )
+    assert runs["auto"] == runs["fast"]
+
+
+def test_forced_vectorized_refuses_active_corruption():
+    graph = make_family("gnp_log_degree", 96, seed=SEED)
+    set_engine_mode("vectorized")
+    with pytest.raises(VectorizationError, match="corrupt"):
+        run_algorithm("luby", graph, seed=SEED, channel=CORRUPT)
 
 
 # -- drops are counted, not invented --------------------------------------

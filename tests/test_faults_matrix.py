@@ -14,7 +14,7 @@ kernel that ignored them would run fault-free rounds here.
 
 import pytest
 
-from repro.congest import Network, set_engine_mode
+from repro.congest import Network
 from repro.graphs import make_family
 from repro.harness import ALGORITHMS, run_algorithm
 from repro.harness.runner import (
@@ -23,6 +23,7 @@ from repro.harness.runner import (
 )
 
 from kernel_programs import KERNEL_PROGRAMS, kernel_programs
+from oracles import engine_path
 
 N = 24
 SEED = 5
@@ -52,18 +53,12 @@ MATRIX = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _reset_engine():
-    yield
-    set_engine_mode("auto")
-
-
 @pytest.mark.parametrize("algorithm,channel,engine", MATRIX)
 def test_faulty_run_terminates_deterministically(algorithm, channel, engine):
-    set_engine_mode(engine)
     graph = make_family("gnp_log_degree", N, seed=SEED)
-    first = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
-    second = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
+    with engine_path(engine):
+        first = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
+        second = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
     assert first.rounds > 0
     assert first.mis == second.mis
     assert first.rounds == second.rounds

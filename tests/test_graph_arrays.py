@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from repro import graphs
 from repro.baselines.luby import LubyProgram
-from repro.congest.network import ENGINE_MODES, Network, engine_mode
+from repro.congest.network import ENGINE_MODES, Network
 from repro.congest.vectorized import GraphArrays, graph_csr
 from repro.harness import run_algorithm
+
+from oracles import engine_path
 
 
 def assert_same_csr(actual: GraphArrays, expected: GraphArrays) -> None:
@@ -157,11 +159,11 @@ class TestLabelledNetworks:
         assert network._neighbors_of(20) == (10, 30)
         assert network._neighbors_of(10) == (20,)
 
-    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    @pytest.mark.parametrize("engine", [*ENGINE_MODES, "legacy"])
     def test_luby_on_every_engine(self, engine):
         graph = nx.path_graph([10, 20, 30, 40, 50])
         reference = run_algorithm("luby", graph, 1)
-        with engine_mode(engine):
+        with engine_path(engine):
             result = run_algorithm("luby", GraphArrays.from_graph(graph), 1)
         assert result.mis == reference.mis
         assert result.rounds == reference.rounds

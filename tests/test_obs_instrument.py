@@ -18,6 +18,8 @@ from repro.obs import (
     resolve_instrument,
 )
 
+from oracles import engine_path
+
 
 class TestResolution:
     def test_default_is_null(self):
@@ -89,7 +91,7 @@ class TestEventStream:
     def _run(self, mode, algorithm="luby", n=80):
         rec = RecordingInstrument()
         graph = nx.gnp_random_graph(n, 0.1, seed=1)
-        with engine_mode(mode), instrument_scope(rec):
+        with engine_path(mode), instrument_scope(rec):
             result = run_algorithm(algorithm, graph, seed=3)
         return rec, result
 

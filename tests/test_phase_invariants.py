@@ -145,6 +145,22 @@ class TestFailureInjection:
             p1.metrics.total_energy + p2.metrics.total_energy
         )
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["algorithm1", "algorithm2", "algorithm1_avg", "algorithm2_avg"],
+    )
+    def test_paper_driver_phases_sum_to_the_ledger(self, algorithm):
+        """Every awake round a paper driver charges lands in one phase:
+        the Section 4 drivers' failed-set status round included."""
+        graph = graphs.make_family("gnp_log_degree", 600, seed=0)
+        ledger = EnergyLedger(graph.nodes)
+        result = run_algorithm(algorithm, graph, 1, ledger=ledger)
+        phases = result.metrics.phases.values()
+        assert sum(phase.total_energy for phase in phases) == \
+            ledger.total_energy() == result.metrics.total_energy
+        if algorithm.endswith("_avg"):
+            assert result.details["failed_nodes"] > 0
+
 
 #: Counters that add up over networks and over phases.
 SUMMED_COUNTERS = (

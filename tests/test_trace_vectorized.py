@@ -9,6 +9,8 @@ import pytest
 from repro.baselines import LubyProgram, RegularizedLubyProgram
 from repro.congest import Network
 
+from oracles import engine_path, run_legacy
+
 PROGRAMS = {
     "luby": lambda: LubyProgram(),
     "regularized_luby": lambda: RegularizedLubyProgram(4, 6, delta=8),
@@ -42,7 +44,7 @@ class TestVectorizedTraceEquivalence:
         vectorized = _traced_network(make_program)
         vectorized.run(engine="vectorized")
         legacy = _traced_network(make_program)
-        legacy.run(engine="legacy")
+        run_legacy(legacy)
         assert _views(vectorized) == _views(legacy)
 
     @pytest.mark.parametrize("algorithm", sorted(PROGRAMS))
@@ -62,7 +64,7 @@ class TestVectorizedTraceEquivalence:
         vectorized = _traced_network(PROGRAMS["luby"], n=12, p=0.4, seed=3)
         vectorized.run(engine="vectorized")
         legacy = _traced_network(PROGRAMS["luby"], n=12, p=0.4, seed=3)
-        legacy.run(engine="legacy")
+        run_legacy(legacy)
         assert _views(vectorized) == _views(legacy)
 
 
@@ -75,9 +77,10 @@ class TestIdleCompactionVectorized:
 
     def _run_past_completion(self, engine):
         network = _traced_network(PROGRAMS["luby"], n=70, p=0.1, seed=9)
-        network.run(engine=engine)
-        finished_at = network.round_index
-        network.run_rounds(self.EXTRA, engine=engine)
+        with engine_path(engine):
+            network.run()
+            finished_at = network.round_index
+            network.run_rounds(self.EXTRA)
         return network, finished_at
 
     def test_vectorized_tail_is_a_compact_span(self):
@@ -114,7 +117,7 @@ class TestMidCycleTruncation:
         while chunked.has_pending_work():
             chunked.run_rounds(chunk, engine="vectorized")
         whole = _traced_network(PROGRAMS["regularized_luby"], n=70, p=0.1, seed=5)
-        whole.run(engine="legacy")
+        run_legacy(whole)
         # The chunked run may have idled past completion inside its final
         # slice; compare the prefix covering the scalar run.
         scalar_views = _views(whole)
