@@ -4,7 +4,9 @@ BENCH_5 gated the always-on baselines (Luby, the regularized cascade);
 this suite gates the schedule-aware kernels added for the paper's own
 pipelines — Algorithm 1's Phase I (regularized Luby under Lemma 2.5
 overlap schedules), Algorithm 2's Phase I (degree-tag sampling rounds),
-and the Ghaffari-2016 multi-execution shattering rounds of Phase II.
+Section 4's Lemma 4.2 degree reduction (whole-iteration wakes plus a
+status block every node attends), and the Ghaffari-2016
+multi-execution shattering rounds of Phase II.
 
 The headline gate is Algorithm 1 Phase I at ``n = 10^4`` in its *dense*
 regime — near-saturated sampling, so nearly every node lays down a wake
@@ -41,6 +43,7 @@ import pytest
 from repro import graphs
 from repro.baselines.ghaffari import GhaffariProgram
 from repro.congest import Network
+from repro.core.average_energy import Lemma42Program, lemma42_budget
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.phase1_alg1 import Phase1Alg1Program
 from repro.core.phase1_alg2 import Phase1Alg2Program
@@ -57,6 +60,9 @@ MIN_SPARSE_SPEEDUP = 0.7 if QUICK else 1.2
 # Ghaffari shattering rounds are always-on with multi-execution columns —
 # the friendliest possible workload (full profile measures ~10x).
 MIN_SHATTER_SPEEDUP = 2.5 if QUICK else 4.0
+# Lemma 4.2: sparse action rounds, but every live node attends the status
+# blocks (full profile measures ~15-18x).
+MIN_LEMMA42_SPEEDUP = 2.5 if QUICK else 4.0
 TIMING_ATTEMPTS = 5
 
 _RESULTS: dict = {}
@@ -204,6 +210,34 @@ def test_alg2_phase1_speedup():
 
     _compare(
         "phase1_alg2", make, 4 * rounds + 4, MIN_DENSE_SPEEDUP, "joined"
+    )
+
+
+def test_lemma42_speedup():
+    """Lemma 4.2 at the budget ``run_lemma42`` gives this graph: a few
+    sampled nodes act per round, but every live node attends each
+    iteration's three-round status block."""
+    graph = _bench_graph()
+    n = graph.number_of_nodes()
+    delta = max_degree(graph)
+    iterations, rpi = lemma42_budget(n, delta, DEFAULT_CONFIG)
+
+    def make():
+        return Network(
+            graph,
+            {
+                v: Lemma42Program(iterations, rpi, delta, DEFAULT_CONFIG, n)
+                for v in graph.nodes
+            },
+            seed=7,
+        )
+
+    _compare(
+        "lemma42",
+        make,
+        iterations * (2 * rpi + 3),
+        MIN_LEMMA42_SPEEDUP,
+        "failed",
     )
 
 

@@ -359,10 +359,11 @@ class _LubyVectorRound(VectorRound):
             output = self.output_of(i)
             output["in_mis"] = True
             output["decided_round"] = round_index
-        one_bit = np.ones(n, dtype=np.int64) if self.priced else None
         if faulty:
             resolve_keep = self.fault_keep()
-            self.count_broadcasts(winners, alive, one_bit, keep=resolve_keep)
+            self.count_broadcasts(
+                winners, alive, self.one_bit, keep=resolve_keep
+            )
             if resolve_keep is None:
                 joined_nearby = arrays.neighbor_count(winners)
                 heard_slots = winners[arrays.indices]
@@ -378,7 +379,7 @@ class _LubyVectorRound(VectorRound):
             # No deaths since MARK, so the cached degree *is* this round's
             # live-neighbor count.
             self.count_broadcasts(
-                winners, alive, one_bit, alive_neighbors=degree
+                winners, alive, self.one_bit, alive_neighbors=degree
             )
             joined_nearby = arrays.neighbor_count(winners)
             # The winners halt at the end of this round: retire their
@@ -399,10 +400,11 @@ class _LubyVectorRound(VectorRound):
         arrays = self.arrays
         alive = self.alive
         retirees = self.pending & alive
-        one_bit = np.ones(arrays.n, dtype=np.int64) if self.priced else None
         if self.faults is not None:
             retire_keep = self.fault_keep()
-            self.count_broadcasts(retirees, alive, one_bit, keep=retire_keep)
+            self.count_broadcasts(
+                retirees, alive, self.one_bit, keep=retire_keep
+            )
             heard_slots = retirees[arrays.indices]
             if retire_keep is not None:
                 heard_slots = heard_slots & retire_keep
@@ -413,7 +415,8 @@ class _LubyVectorRound(VectorRound):
             # ``count_broadcasts`` its dense alive re-count; then the
             # retirees' own contributions come off for the next MARK.
             self.count_broadcasts(
-                retirees, alive, one_bit, alive_neighbors=self.active_deg
+                retirees, alive, self.one_bit,
+                alive_neighbors=self.active_deg,
             )
             self.active_deg = self.active_deg - arrays.neighbor_count(retirees)
         retiree_idx = np.nonzero(retirees)[0]

@@ -174,14 +174,14 @@ class _RegularizedLubyVectorRound(VectorRound):
         # Nobody halts between a MARK and its JOIN (deaths happen in the
         # JOIN receive phase), so the incrementally-maintained
         # ``_alive_neighbors`` prices both sub-rounds' deliveries.
-        one_bit = np.ones(arrays.n, dtype=np.int64) if self.priced else None
         keep = self.fault_keep() if self.faults is not None else None
         if keep is not None:
-            self.count_broadcasts(marked, alive, one_bit, keep=keep)
+            self.count_broadcasts(marked, alive, self.one_bit, keep=keep)
             heard_marks = arrays.masked_neighbor_count(marked, keep)
         else:
             self.count_broadcasts(
-                marked, alive, one_bit, alive_neighbors=self._alive_neighbors
+                marked, alive, self.one_bit,
+                alive_neighbors=self._alive_neighbors,
             )
             heard_marks = arrays.neighbor_count(marked)
         self.saw_marked = np.zeros(arrays.n, dtype=bool)
@@ -194,14 +194,14 @@ class _RegularizedLubyVectorRound(VectorRound):
         self.joined |= winners
         for i in np.nonzero(winners)[0]:
             self.output_of(i)["in_mis"] = True
-        one_bit = np.ones(arrays.n, dtype=np.int64) if self.priced else None
         keep = self.fault_keep() if self.faults is not None else None
         if keep is not None:
-            self.count_broadcasts(winners, alive, one_bit, keep=keep)
+            self.count_broadcasts(winners, alive, self.one_bit, keep=keep)
             heard_joins = arrays.masked_neighbor_count(winners, keep)
         else:
             self.count_broadcasts(
-                winners, alive, one_bit, alive_neighbors=self._alive_neighbors
+                winners, alive, self.one_bit,
+                alive_neighbors=self._alive_neighbors,
             )
             heard_joins = arrays.neighbor_count(winners)
         dominated = alive & ~winners & (heard_joins > 0)

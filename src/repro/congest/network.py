@@ -28,7 +28,8 @@ rounds:
 * pending wake rounds live in a min-heap (``_wake_heap``), so finding the
   next event and :meth:`Network.has_pending_work` are O(1) amortized;
 * when no node is in always-awake mode, :meth:`Network.run` fast-forwards
-  ``round_index`` straight to the next scheduled wake — idle rounds still
+  ``round_index`` straight to the next scheduled wake (or node-fault
+  event, which must land in its own round) — idle rounds still
   count for time complexity and appear in the trace (as compact idle
   spans), but a batch of them costs O(1);
 * :meth:`Network.step` avoids per-round re-sorting of the awake set, builds
@@ -543,6 +544,20 @@ class Network:
         if prof is not None:
             prof.end()
 
+    def _next_event_round(self) -> Optional[int]:
+        """Next round the run loops must simulate: the earliest live wake,
+        or the fault injector's next due event when that comes first — a
+        crash inside an idle stretch lands in its own round, so a run whose
+        pending nodes all crash ends there instead of at the cancelled
+        wake."""
+        next_wake = self._next_wake_round()
+        injector = self._fault_injector
+        if injector is not None:
+            due = injector.next_due_round
+            if due is not None and (next_wake is None or due < next_wake):
+                return due
+        return next_wake
+
     def has_pending_work(self) -> bool:
         """True if some node may still wake up in a future round."""
         if self._always_on:
@@ -692,15 +707,15 @@ class Network:
                     self._flush_runner(runner)
                     self.step()
                     continue
-                next_wake = self._next_wake_round()
-                if next_wake >= max_rounds:
+                next_round = self._next_event_round()
+                if next_round >= max_rounds:
                     # The naive loop would idle up to the limit and raise;
                     # advance time the same way before raising.
                     self._skip_idle_to(max_rounds - 1)
                     raise SimulationLimitError(
                         f"simulation exceeded {max_rounds} rounds"
                     )
-                self._skip_idle_to(next_wake - 1)
+                self._skip_idle_to(next_round - 1)
                 if self._try_vector_step(runner):
                     continue
                 self._flush_runner(runner)
@@ -735,11 +750,11 @@ class Network:
                     self._flush_runner(runner)
                     self.step()
                     continue
-                next_wake = self._next_wake_round()
-                if next_wake is None or next_wake > end:
+                next_round = self._next_event_round()
+                if next_round is None or next_round > end:
                     self._skip_idle_to(end)
                     break
-                self._skip_idle_to(next_wake - 1)
+                self._skip_idle_to(next_round - 1)
                 if self._try_vector_step(runner):
                     continue
                 self._flush_runner(runner)

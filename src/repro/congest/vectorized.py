@@ -444,6 +444,10 @@ class VectorRound:
         #: deliveries through :meth:`fault_keep` when this is set;
         #: ``tests/test_faults_matrix.py`` fails for one that does not.
         self.faults = network.channel.vector_faults(self.arrays)
+        #: Per-sender price of a one-bit payload (None when unpriced).
+        self.one_bit = (
+            np.ones(self.arrays.n, dtype=np.int64) if self.priced else None
+        )
         #: The network's schema-declared state columns (see
         #: ``repro.congest.state``). Never None here: the engine declines
         #: vectorization for a network without columns, so kernels
@@ -616,6 +620,21 @@ class VectorRound:
             trace.record(
                 self.network.round_index, awake, sent, delivered, dropped
             )
+
+    def broadcast_wave(self, senders: np.ndarray, awake: np.ndarray,
+                       keep: Optional[np.ndarray]) -> np.ndarray:
+        """Account one one-bit broadcast wave; return per-receiver heard
+        counts (surviving copies only when a fault mask is active — one CSR
+        pass serves both the heard-test and the delivery count)."""
+        if keep is None:
+            heard_counts = self.arrays.neighbor_count(senders)
+            self.count_broadcasts(
+                senders, awake, self.one_bit, sender_counts=heard_counts
+            )
+        else:
+            heard_counts = self.arrays.masked_neighbor_count(senders, keep)
+            self.count_broadcasts(senders, awake, self.one_bit, keep=keep)
+        return heard_counts
 
     def count_broadcasts(self, senders: np.ndarray, alive: np.ndarray,
                          bits_per_copy: Optional[np.ndarray],

@@ -32,17 +32,22 @@ leftovers).
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, NodeProgram, StateField, channel_scope
-from ..congest.vectorized import GraphArrays, graph_csr
+from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
 from ..graphs.properties import induced_subgraph, max_degree
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
-from .phase1_alg1 import Phase1Alg1Program, run_phase1_alg1
+from .phase1_alg1 import (
+    Phase1Alg1Program,
+    run_phase1_alg1,
+    sample_marked_round,
+)
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
 from .phase3 import _derive_seed, run_phase3
@@ -57,6 +62,11 @@ class Lemma42Program(NodeProgram):
     algorithm rounds of two sub-rounds (mark, join), then a three-round
     status block (joins / active counts / failures). A sampled node is
     awake for all of its own iteration; every node attends every block.
+
+    These hooks are the reference semantics: above the engine's auto
+    floor the rounds run as whole-network numpy steps in
+    :class:`_Lemma42VectorRound`, whose docstring lists the rules it must
+    mirror to stay bit-identical.
     """
 
     def __init__(
@@ -99,23 +109,19 @@ class Lemma42Program(NodeProgram):
         )
 
     # ------------------------------------------------------------------
-    def _sample(self, rng):
-        for iteration in range(self.iterations):
-            probability = min(1.0, (2.0**iteration) / (10.0 * self.delta))
-            if probability <= 0.0:
-                continue
-            gap = int(rng.geometric(probability))
-            if gap <= self.rounds_per_iteration:
-                return iteration, gap - 1
-        return None, None
-
     def on_start(self, ctx):
         ctx.output["joined"] = False
         ctx.output["failed"] = False
         ctx.output["sampled"] = False
-        self.sampled_iteration, self.sampled_round = self._sample(ctx.rng)
+        marked_round = sample_marked_round(
+            ctx.rng, self.iterations, self.rounds_per_iteration, self.delta,
+            10.0,
+        )
         wake = set()
-        if self.sampled_iteration is not None:
+        if marked_round is not None:
+            self.sampled_iteration, self.sampled_round = divmod(
+                marked_round, self.rounds_per_iteration
+            )
             ctx.output["sampled"] = True
             base = self.sampled_iteration * self.stride
             wake.update(range(base, base + 2 * self.rounds_per_iteration))
@@ -144,6 +150,16 @@ class Lemma42Program(NodeProgram):
             and self.sampled_iteration <= iteration
         )
 
+    def _check_failure(self, iteration: int, spoiled, nonspoiled):
+        """Conditions (A)/(B) at the end of ``iteration``: too many spoiled
+        or too many non-spoiled active neighbors. Takes counts or count
+        arrays (the kernel's columns) alike."""
+        threshold_a = (
+            (iteration + 1) * self.config.avg_fail_factor * loglog2n(self.n)
+        )
+        threshold_b = self.delta / (2.0 ** (iteration + 1))
+        return (spoiled > threshold_a) | (nonspoiled > threshold_b)
+
     def on_round(self, ctx):
         iteration, action, block_step = self._position(ctx.round)
         if action is not None:
@@ -170,20 +186,12 @@ class Lemma42Program(NodeProgram):
             if self.active:
                 ctx.broadcast(bool(self._spoiled_at(iteration)))
         else:  # block_step == 2
-            if self.active and self._check_failure(iteration):
+            if self.active and self._check_failure(
+                iteration, self.spoiled_count, self.nonspoiled_count
+            ):
                 self.failed = True
                 ctx.output["failed"] = True
                 ctx.broadcast(True)
-
-    def _check_failure(self, iteration: int) -> bool:
-        threshold_a = (
-            (iteration + 1) * self.config.avg_fail_factor * loglog2n(self.n)
-        )
-        threshold_b = self.delta / (2.0 ** (iteration + 1))
-        return (
-            self.spoiled_count > threshold_a
-            or self.nonspoiled_count > threshold_b
-        )
 
     def on_receive(self, ctx, messages):
         iteration, action, block_step = self._position(ctx.round)
@@ -217,6 +225,170 @@ class Lemma42Program(NodeProgram):
             if iteration + 1 >= self.iterations:
                 ctx.halt()
 
+    @classmethod
+    def vector_round(cls, network):
+        """Engine capability hook: one flat column set per network needs
+        every node to share the phase parameters (``run_lemma42`` always
+        builds them that way; hand-built heterogeneous networks decline)."""
+        signature = attrgetter(
+            "iterations", "rounds_per_iteration", "delta", "config", "n"
+        )
+        programs = network.programs.values()
+        first = signature(next(iter(programs)))
+        if any(signature(program) != first for program in programs):
+            return None
+        return _Lemma42VectorRound(network)
+
+
+class _Lemma42VectorRound(VectorRound):
+    """Whole-network Lemma 4.2 rounds over flat numpy columns.
+
+    Schedule-driven like the Phase I kernels: each round's awake set is
+    the wake calendar's entry (:meth:`VectorRound.pop_scheduled_awake`),
+    and all randomness was consumed in ``on_start``. Every round makes
+    exactly one :meth:`VectorRound.count_broadcasts` call, so counters and
+    trace records match the scalar delivery. Bit-identity hinges on
+    mirroring the scalar rules exactly:
+
+    * MARK: awake nodes acting this round *assign*
+      ``saw_marked_neighbor = heard > 0``, whether or not they are still
+      active (only active ones broadcast);
+    * JOIN: listeners that hear a join become dominated but do **not**
+      halt until the status block (a freshly joined node is immune);
+    * block 0: joiners announce once; listeners that hear it become
+      dominated, then every awake node that is joined (and announced),
+      dominated or failed halts;
+    * block 1: every awake node *assigns* its spoiled and non-spoiled
+      counts from the surviving one-bit copies of active senders;
+    * block 2: active nodes that meet
+      :meth:`Lemma42Program._check_failure` fail and broadcast (the
+      copies are accounted but read by nobody); failed nodes halt, and
+      after the last iteration every awake node does.
+    """
+
+    def load(self) -> None:
+        arrays = self.arrays
+        network = self.network
+        n = arrays.n
+        self.template = network.programs[arrays.nodes[0]]
+        self.sampled_iteration = np.full(n, -1, dtype=np.int64)
+        self.sampled_round = np.full(n, -1, dtype=np.int64)
+        for i, node in enumerate(arrays.nodes):
+            program = network.programs[node]
+            if program.sampled_iteration is not None:
+                self.sampled_iteration[i] = program.sampled_iteration
+                self.sampled_round[i] = program.sampled_round
+        columns = self.state_columns
+        self.joined = columns["joined"].copy()
+        self.announced = columns["announced_join"].copy()
+        self.dominated = columns["dominated"].copy()
+        self.failed = columns["failed"].copy()
+        self.saw_marked = columns["saw_marked_neighbor"].copy()
+        self.spoiled_count = columns["spoiled_count"].copy()
+        self.nonspoiled_count = columns["nonspoiled_count"].copy()
+
+    def flush_state(self) -> None:
+        columns = self.state_columns
+        columns["joined"][:] = self.joined
+        columns["announced_join"][:] = self.announced
+        columns["dominated"][:] = self.dominated
+        columns["failed"][:] = self.failed
+        columns["saw_marked_neighbor"][:] = self.saw_marked
+        columns["spoiled_count"][:] = self.spoiled_count
+        columns["nonspoiled_count"][:] = self.nonspoiled_count
+
+    # ------------------------------------------------------------------
+    def step_round(self) -> None:
+        awake = self.pop_scheduled_awake()
+        self.charge_awake(awake)
+        keep = self.fault_keep() if self.faults is not None else None
+        template = self.template
+        iteration, offset = divmod(self.network.round_index, template.stride)
+        active = ~(self.joined | self.dominated | self.failed)
+        block_step = offset - 2 * template.rounds_per_iteration
+        if block_step < 0:
+            algo_round, sub = divmod(offset, 2)
+            acting = (
+                awake
+                & (self.sampled_iteration == iteration)
+                & (self.sampled_round == algo_round)
+            )
+            if sub == 0:
+                heard = self.broadcast_wave(acting & active, awake, keep)
+                self.saw_marked[acting] = heard[acting] > 0
+            else:
+                joiners = acting & active & ~self.saw_marked
+                self.joined |= joiners
+                for i in np.nonzero(joiners)[0]:
+                    self.output_of(i)["joined"] = True
+                heard = self.broadcast_wave(joiners, awake, keep)
+                self.dominated |= awake & ~self.joined & (heard > 0)
+        elif block_step == 0:
+            senders = awake & self.joined & ~self.announced
+            self.announced |= senders
+            heard = self.broadcast_wave(senders, awake, keep)
+            self.dominated |= awake & ~self.joined & (heard > 0)
+            self.halt_ranks(np.nonzero(
+                awake
+                & ((self.joined & self.announced) | self.dominated
+                   | self.failed)
+            )[0])
+        elif block_step == 1:
+            self._count_status(awake & active, awake, iteration, keep)
+        else:
+            failing = awake & active & template._check_failure(
+                iteration, self.spoiled_count, self.nonspoiled_count
+            )
+            self.failed |= failing
+            for i in np.nonzero(failing)[0]:
+                self.output_of(i)["failed"] = True
+            self.broadcast_wave(failing, awake, keep)
+            if iteration + 1 >= template.iterations:
+                self.halt_ranks(np.nonzero(awake)[0])
+            else:
+                self.halt_ranks(np.nonzero(awake & self.failed)[0])
+
+    def _count_status(self, senders, awake, iteration, keep) -> None:
+        """Block 1: one-bit "am I spoiled" broadcasts from active nodes;
+        every awake receiver counts each payload value it heard."""
+        spoiled = (self.sampled_iteration >= 0) & (
+            self.sampled_iteration <= iteration
+        )
+        arrays = self.arrays
+        if keep is None:
+            spoiled_heard = arrays.neighbor_count(senders & spoiled)
+            nonspoiled_heard = arrays.neighbor_count(senders & ~spoiled)
+            self.count_broadcasts(
+                senders, awake, self.one_bit,
+                sender_counts=spoiled_heard + nonspoiled_heard,
+            )
+        else:
+            spoiled_heard = arrays.masked_neighbor_count(
+                senders & spoiled, keep
+            )
+            nonspoiled_heard = arrays.masked_neighbor_count(
+                senders & ~spoiled, keep
+            )
+            self.count_broadcasts(senders, awake, self.one_bit, keep=keep)
+        self.spoiled_count[awake] = spoiled_heard[awake]
+        self.nonspoiled_count[awake] = nonspoiled_heard[awake]
+
+
+def lemma42_budget(n: int, delta2: int, config: AlgorithmConfig):
+    """``(iterations, rounds_per_iteration)`` of Lemma 4.2 on a graph of
+    maximum degree ``delta2``: degree halvings down to the polyloglog
+    truncation target, ``O(log log n)`` rounds each."""
+    target = max(
+        1.0, loglog2n(n) ** max(1.0, config.avg_truncation)
+    )
+    iterations = max(
+        0, math.floor(math.log2(max(2, delta2)) - math.log2(target))
+    )
+    rounds_per_iteration = max(2, math.ceil(
+        config.avg_round_factor * loglog2n(n)
+    ))
+    return iterations, rounds_per_iteration
+
 
 def run_lemma42(
     graph: nx.Graph | GraphArrays,
@@ -233,15 +405,7 @@ def run_lemma42(
     """
     n = size_bound if size_bound is not None else graph.number_of_nodes()
     delta2 = max_degree(graph)
-    target = max(
-        1.0, loglog2n(n) ** max(1.0, config.avg_truncation)
-    )
-    iterations = max(
-        0, math.floor(math.log2(max(2, delta2)) - math.log2(target))
-    )
-    rounds_per_iteration = max(2, math.ceil(
-        config.avg_round_factor * loglog2n(n)
-    ))
+    iterations, rounds_per_iteration = lemma42_budget(n, delta2, config)
 
     if iterations == 0 or graph.number_of_nodes() == 0:
         return PhaseResult.idle(

@@ -52,6 +52,31 @@ _MARK = 1
 _JOIN = 2
 
 
+def sample_marked_round(
+    rng,
+    iterations: int,
+    rounds_per_iteration: int,
+    delta: int,
+    mark_divisor: float,
+) -> Optional[int]:
+    """A node's one-shot marking round, or None if it is never marked.
+
+    One geometric draw per iteration instead of a coin per round: the
+    node is marked in iteration ``i`` (probability ``2^i / (divisor·Δ)``
+    per round) iff a Geometric(p_i) variable lands within the iteration's
+    round budget. The result counts rounds from the phase start, so
+    ``divmod(result, rounds_per_iteration)`` is (iteration, round).
+    """
+    for iteration in range(iterations):
+        probability = min(1.0, (2.0**iteration) / (mark_divisor * delta))
+        if probability <= 0.0:
+            continue
+        gap = int(rng.geometric(probability))
+        if gap <= rounds_per_iteration:
+            return iteration * rounds_per_iteration + (gap - 1)
+    return None
+
+
 class Phase1Alg1Program(NodeProgram):
     """Node program for the regularized-Luby phase."""
 
@@ -83,29 +108,13 @@ class Phase1Alg1Program(NodeProgram):
             StateField("saw_marked_neighbor", np.bool_),
         )
 
-    # ------------------------------------------------------------------
-    def _sample_marked_round(self, rng) -> Optional[int]:
-        """First round with a heads, marking probability fixed per iteration.
-
-        One geometric draw per iteration instead of a coin per round: the
-        node is marked in iteration ``i`` iff a Geometric(p_i) variable
-        lands within the iteration's round budget.
-        """
-        for iteration in range(self.iterations):
-            probability = min(
-                1.0, (2.0**iteration) / (self.mark_divisor * self.delta)
-            )
-            if probability <= 0.0:
-                continue
-            gap = int(rng.geometric(probability))
-            if gap <= self.rounds_per_iteration:
-                return iteration * self.rounds_per_iteration + (gap - 1)
-        return None
-
     def on_start(self, ctx):
         ctx.output["joined"] = False
         ctx.output["sampled"] = False
-        self.marked_round = self._sample_marked_round(ctx.rng)
+        self.marked_round = sample_marked_round(
+            ctx.rng, self.iterations, self.rounds_per_iteration, self.delta,
+            self.mark_divisor,
+        )
         if self.marked_round is None:
             ctx.use_wake_schedule([])  # sleeps through the entire phase
             return
@@ -192,7 +201,6 @@ class _Phase1Alg1VectorRound(VectorRound):
             marked_round = network.programs[node].marked_round
             if marked_round is not None:
                 self.marked_round[i] = marked_round
-        self._one_bit = np.ones(n, dtype=np.int64) if self.priced else None
 
     def flush_state(self) -> None:
         columns = self.state_columns
@@ -212,7 +220,7 @@ class _Phase1Alg1VectorRound(VectorRound):
         elif sub == _MARK:
             acting = awake & (self.marked_round == algo_round)
             senders = acting & ~self.dominated
-            heard_counts = self._broadcast_wave(senders, awake, keep)
+            heard_counts = self.broadcast_wave(senders, awake, keep)
             self.saw_marked[acting] = heard_counts[acting] > 0
         else:  # _JOIN
             joiners = (
@@ -226,25 +234,6 @@ class _Phase1Alg1VectorRound(VectorRound):
                 self.output_of(i)["joined"] = True
             self._join_wave(joiners, awake, keep)
 
-    def _broadcast_wave(
-        self,
-        senders: np.ndarray,
-        awake: np.ndarray,
-        keep: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Account one broadcast wave; return per-receiver heard counts
-        (surviving copies only when a fault mask is active — one CSR pass
-        serves both the heard-test and the delivery count)."""
-        if keep is None:
-            heard_counts = self.arrays.neighbor_count(senders)
-            self.count_broadcasts(
-                senders, awake, self._one_bit, sender_counts=heard_counts
-            )
-        else:
-            heard_counts = self.arrays.masked_neighbor_count(senders, keep)
-            self.count_broadcasts(senders, awake, self._one_bit, keep=keep)
-        return heard_counts
-
     def _join_wave(
         self,
         senders: np.ndarray,
@@ -253,7 +242,7 @@ class _Phase1Alg1VectorRound(VectorRound):
     ) -> None:
         """Deliver join announcements: awake non-joined listeners that hear
         one become dominated and halt (freshly-joined nodes are immune)."""
-        heard_counts = self._broadcast_wave(senders, awake, keep)
+        heard_counts = self.broadcast_wave(senders, awake, keep)
         victims = np.nonzero(
             awake & ~self.joined & (heard_counts > 0)
         )[0]

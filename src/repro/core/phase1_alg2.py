@@ -352,7 +352,6 @@ class _Phase1Alg2VectorRound(VectorRound):
             competitors = network.programs[node].competitors
             if competitors:
                 self.rival_max[i] = max(competitors)
-        self._one_bit = np.ones(n, dtype=np.int64) if self.priced else None
 
     def flush_state(self) -> None:
         arrays = self.arrays
@@ -407,7 +406,7 @@ class _Phase1Alg2VectorRound(VectorRound):
             self._dominate(senders, awake, keep)
         elif sub == _TAG:
             senders = awake & (self.tag_round == algo_round) & ~self.dominated
-            counts = self._broadcast_wave(senders, awake, keep)
+            counts = self.broadcast_wave(senders, awake, keep)
             receivers = awake & (self.premark_round == algo_round)
             self.tagged[receivers] = counts[receivers]
         elif sub == _MARK:
@@ -459,25 +458,6 @@ class _Phase1Alg2VectorRound(VectorRound):
                     self.output_of(i)["joined"] = True
             self._dominate(winners, awake, keep)
 
-    def _broadcast_wave(
-        self,
-        senders: np.ndarray,
-        awake: np.ndarray,
-        keep: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Account one broadcast wave; return per-receiver heard counts
-        (surviving copies only when a fault mask is active — one CSR pass
-        serves both the heard-test and the delivery count)."""
-        if keep is None:
-            heard_counts = self.arrays.neighbor_count(senders)
-            self.count_broadcasts(
-                senders, awake, self._one_bit, sender_counts=heard_counts
-            )
-        else:
-            heard_counts = self.arrays.masked_neighbor_count(senders, keep)
-            self.count_broadcasts(senders, awake, self._one_bit, keep=keep)
-        return heard_counts
-
     def _dominate(
         self,
         senders: np.ndarray,
@@ -486,7 +466,7 @@ class _Phase1Alg2VectorRound(VectorRound):
     ) -> None:
         """Sampling-round join announcements: listeners become dominated
         (but stay on their wake schedules — no halt until the end block)."""
-        heard_counts = self._broadcast_wave(senders, awake, keep)
+        heard_counts = self.broadcast_wave(senders, awake, keep)
         self.dominated |= awake & ~self.joined & (heard_counts > 0)
 
     def _end_block(
@@ -495,7 +475,7 @@ class _Phase1Alg2VectorRound(VectorRound):
         arrays = self.arrays
         if step == 0:
             senders = awake & self.joined
-            heard_counts = self._broadcast_wave(senders, awake, keep)
+            heard_counts = self.broadcast_wave(senders, awake, keep)
             victims = np.nonzero(
                 awake & ~self.joined & (heard_counts > 0)
             )[0]
@@ -508,10 +488,10 @@ class _Phase1Alg2VectorRound(VectorRound):
             # The heard-test mask (non-spoiled actors) differs from the
             # broadcast mask, so no shared CSR pass here.
             if keep is None:
-                self.count_broadcasts(actors, awake, self._one_bit)
+                self.count_broadcasts(actors, awake, self.one_bit)
                 counts = arrays.neighbor_count(actors & ~spoiled)
             else:
-                self.count_broadcasts(actors, awake, self._one_bit, keep=keep)
+                self.count_broadcasts(actors, awake, self.one_bit, keep=keep)
                 counts = arrays.masked_neighbor_count(
                     actors & ~spoiled, keep
                 )
@@ -521,7 +501,7 @@ class _Phase1Alg2VectorRound(VectorRound):
             reaches = self.active_nonspoiled > self.high_threshold
             self.high[actors] = reaches[actors]
             senders = actors & self.high
-            heard_counts = self._broadcast_wave(senders, awake, keep)
+            heard_counts = self.broadcast_wave(senders, awake, keep)
             self.saw_high[awake] = heard_counts[awake] > 0
         else:  # step == 3: final joins, outputs, and teardown
             joiners = (
@@ -532,7 +512,7 @@ class _Phase1Alg2VectorRound(VectorRound):
                 & ~self.saw_high
             )
             self.joined |= joiners
-            heard_counts = self._broadcast_wave(joiners, awake, keep)
+            heard_counts = self.broadcast_wave(joiners, awake, keep)
             self.dominated |= (
                 awake & ~self.joined & (heard_counts > 0)
             )

@@ -202,13 +202,17 @@ class _NetworkFaultInjector:
     def pending(self) -> bool:
         return bool(self._by_round) or bool(self._stalled)
 
+    @property
+    def next_due_round(self) -> Optional[int]:
+        """Round of the earliest event not yet applied (None when none)."""
+        return min(self._by_round, default=None)
+
     def begin_round(self, network, round_index: int) -> None:
         if not self._by_round:
             return
-        # Apply every event due by now, not just this exact round: the
-        # engine fast-forwards idle stretches, and a fault scheduled in a
-        # skipped round must still land (a crash during sleep takes effect
-        # at the next round the engine actually simulates).
+        # Apply every event due by now, not just this exact round. The run
+        # loops end each idle fast-forward at :attr:`next_due_round`, so an
+        # event lands in its own round even while every node sleeps.
         due = sorted(t for t in self._by_round if t <= round_index)
         events = [event for t in due for event in self._by_round.pop(t)]
         for event in events:

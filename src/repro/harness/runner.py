@@ -72,8 +72,8 @@ ALGORITHM_TABLE: Dict[str, AlgorithmRow] = {
     "algorithm2": AlgorithmRow(
         algorithm2, (Phase1Alg2Program, GhaffariProgram)
     ),
-    # Section 4's wrappers add Lemma 4.2's simulation (no dense-round
-    # kernel) and a sparsifier that runs Phase1Alg1Program for both.
+    # Section 4's wrappers add Lemma 4.2's degree reduction and a
+    # sparsifier that runs Phase1Alg1Program for both.
     "algorithm1_avg": AlgorithmRow(
         algorithm1_constant_average_energy,
         (Phase1Alg1Program, GhaffariProgram, Lemma42Program),

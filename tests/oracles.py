@@ -7,10 +7,7 @@ the equivalence suites and the benchmark gates compare against:
 * the **step-every-round loop** — ``Network.run``/``run_rounds`` with
   idle rounds stepped one :meth:`~repro.congest.Network.step` at a time
   instead of fast-forwarded (the naive seed engine: same step sequence,
-  per-round trace records and instrument events). One difference: when
-  a node-fault crash halts every pending node inside an idle stretch,
-  the seed loop stopped at the crash round, while this one, like the
-  fast loop, still runs up to the cancelled wake;
+  per-round trace records and instrument events);
 * the **per-Message CONGEST and LOCAL loops** — one
   :class:`~repro.congest.message.Message` per delivery, priced per
   message, in place of the slot buffers and lazy inbox views;

@@ -195,9 +195,7 @@ def test_vector_capable_algorithms_never_silently_fall_back(algorithm):
 def test_forced_vectorized_raises_for_incapable_programs(algorithm):
     """Forcing the vectorized engine on an algorithm outside the derived
     capability set must raise, not silently run scalar (radio_decay's
-    program has no kernel and runs on the broadcast medium; the
-    constant-average-energy wrappers build Lemma 4.2 simulation networks
-    whose program has none either)."""
+    program has no kernel and runs on the broadcast medium)."""
     assert algorithm not in VECTOR_CAPABLE_ALGORITHMS
     graph = graphs.make_family("gnp_log_degree", N, seed=5)
     with engine_mode("vectorized"):
@@ -207,7 +205,9 @@ def test_forced_vectorized_raises_for_incapable_programs(algorithm):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize(
-    "algorithm", ["algorithm1", "algorithm2", "ghaffari2016"]
+    "algorithm",
+    ["algorithm1", "algorithm2", "ghaffari2016", "algorithm1_avg",
+     "algorithm2_avg"],
 )
 def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
     """The paper's own algorithms now run end-to-end under a *forced*
@@ -292,7 +292,7 @@ class TestStateColumns:
         network.run_rounds(3, engine="vectorized")
         assert network.vector_rounds > 0, program
 
-    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 5, 7, 40])
     @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
     def test_flush_leaves_scalar_state_on_live_rows(self, program, cut):
         """After ``cut`` kernel rounds, every row a scalar hook can still

@@ -101,3 +101,23 @@ def test_every_kernel_applies_channel_fault_masks(program):
     first = min(r for r, record in clean.items() if record.messages_delivered)
     assert lossy[first].messages_sent == clean[first].messages_sent
     assert lossy[first].messages_delivered < clean[first].messages_delivered
+
+
+@pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+def test_every_kernel_matches_scalar_under_total_loss(program):
+    """At drop rate 1 the fault pattern no longer depends on the engine
+    (every copy is lost), so a kernel must reproduce the scalar run bit
+    for bit; one that skips the keep mask on any delivery hears copies
+    the scalar path never received."""
+    graph = make_family("gnp_log_degree", 96, seed=3)
+    make = kernel_programs(graph)[program]
+    runs = {}
+    for engine in ("fast", "vectorized"):
+        network = Network(
+            graph, {v: make() for v in graph.nodes}, seed=11,
+            channel="lossy(drop=1.0,seed=3):congest",
+        )
+        metrics = network.run(engine=engine)
+        outputs = {v: ctx.output for v, ctx in network.contexts.items()}
+        runs[engine] = (metrics, network.ledger.snapshot(), outputs)
+    assert runs["vectorized"] == runs["fast"]

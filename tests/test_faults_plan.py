@@ -11,9 +11,11 @@ Covers the three layers of ``repro.faults`` node faults:
   valid MIS, and the result records the bounded repair cost.
 """
 
+import networkx as nx
 import pytest
 
 from repro.analysis import verify_mis
+from repro.congest import Network, NodeProgram
 from repro.faults import (
     CRASH,
     RECOVER,
@@ -25,6 +27,8 @@ from repro.faults import (
 )
 from repro.graphs import make_family
 from repro.harness import run_algorithm
+
+from oracles import run_legacy
 
 N = 48
 SEED = 7
@@ -134,6 +138,51 @@ def test_straggler_on_every_algorithm_still_terminates():
     for algorithm in ("luby", "ghaffari2016", "algorithm1"):
         result = run_algorithm(algorithm, graph, seed=SEED, faults=plan)
         assert result.rounds > 0, algorithm
+
+
+class _SleepyProgram(NodeProgram):
+    """Wakes at rounds 1 and 50 only: rounds 2..49 are an idle stretch."""
+
+    def on_start(self, ctx):
+        ctx.use_wake_schedule([1, 50])
+
+    def on_round(self, ctx):
+        ctx.broadcast(True)
+
+    def on_receive(self, ctx, messages):
+        pass
+
+
+def _sleepy_rounds(events, run):
+    graph = nx.path_graph(3)
+    network = Network(
+        graph, {v: _SleepyProgram() for v in graph.nodes}, seed=1,
+        faults=FaultPlan(events),
+    )
+    return run(network).rounds
+
+
+def _fast(network):
+    return network.run(engine="fast")
+
+
+def test_crash_inside_idle_stretch_ends_the_run_at_the_crash():
+    """Crashing every pending node in an idle stretch ends the run at the
+    crash round on the fast loop as on the step-every-round oracle,
+    instead of counting rounds up to the cancelled wake."""
+    crash = [NodeFault(time=10, kind=CRASH, node=v) for v in range(3)]
+    assert _sleepy_rounds(crash, _fast) == 11
+    assert _sleepy_rounds(crash, run_legacy) == 11
+
+
+def test_straggle_inside_idle_stretch_leaves_the_rounds_alone():
+    """A stall that starts and ends while its node sleeps misses no wake:
+    both loops finish in the fault-free round count."""
+    stall = [NodeFault(time=10, kind=STRAGGLE, node=0, duration=5)]
+    clean = _sleepy_rounds([], _fast)
+    assert clean == 51
+    assert _sleepy_rounds(stall, _fast) == clean
+    assert _sleepy_rounds(stall, run_legacy) == clean
 
 
 def test_injector_rejects_recover_events():
