@@ -29,26 +29,45 @@ class EnergyLedger:
         self._awake: Dict[int, int] = {node: 0 for node in nodes}
         if not self._awake:
             raise ValueError("EnergyLedger needs at least one node")
+        # Whole-ledger aggregates, kept up to date by every charge so the
+        # energy measures cost O(1) (every ``Network.run`` reads them).
+        self._total = 0
+        self._max = 0
 
     def charge(self, node: int, rounds: int = 1) -> None:
         """Record that ``node`` was awake for ``rounds`` additional rounds."""
         if rounds < 0:
             raise ValueError(f"cannot charge negative rounds ({rounds})")
-        self._awake[node] += rounds
+        value = self._awake[node] + rounds
+        self._awake[node] = value
+        self._total += rounds
+        if value > self._max:
+            self._max = value
 
     def charge_many(self, nodes: Iterable[int], rounds: int = 1) -> None:
         """Charge every node in ``nodes``; the engine's per-round hot call."""
         if rounds < 0:
             raise ValueError(f"cannot charge negative rounds ({rounds})")
         awake = self._awake
-        for node in nodes:
-            awake[node] += rounds
+        peak = self._max
+        charged = 0
+        try:
+            for node in nodes:
+                value = awake[node] + rounds
+                awake[node] = value
+                charged += 1
+                if value > peak:
+                    peak = value
+        finally:
+            self._total += charged * rounds
+            self._max = peak
 
     def ensure_nodes(self, nodes: Iterable[int]) -> None:
         """Start tracking ``nodes`` (at zero awake rounds) if not yet known.
 
         Dynamic networks add nodes mid-timeline; already-known nodes keep
-        their accumulated energy untouched.
+        their accumulated energy untouched (and new nodes at zero move
+        neither aggregate).
         """
         for node in nodes:
             self._awake.setdefault(node, 0)
@@ -62,14 +81,14 @@ class EnergyLedger:
 
     def max_energy(self) -> int:
         """Worst-case energy complexity: max awake rounds over all nodes."""
-        return max(self._awake.values())
+        return self._max
 
     def total_energy(self) -> int:
-        return sum(self._awake.values())
+        return self._total
 
     def average_energy(self) -> float:
         """Node-averaged energy complexity (Section 4 of the paper)."""
-        return self.total_energy() / len(self._awake)
+        return self._total / len(self._awake)
 
     def snapshot(self) -> Dict[int, int]:
         return dict(self._awake)

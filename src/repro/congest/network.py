@@ -25,8 +25,15 @@ The engine's whole reason to exist is simulating algorithms whose nodes
 sleep almost always, so the hot path is built around *awake events*, not
 rounds:
 
+* the wake calendar is keyed by round only (round -> nodes); a
+  population start hook lays a whole program class's wakes down in one
+  :meth:`Network._schedule_population` call, one calendar entry at a time
+  rather than one ``(node, round)`` pair at a time;
 * pending wake rounds live in a min-heap (``_wake_heap``), so finding the
-  next event and :meth:`Network.has_pending_work` are O(1) amortized;
+  next event and :meth:`Network.has_pending_work` are O(1) amortized:
+  halting only sets a flag, and a peek drops the halted nodes it meets
+  from the entry it looks at, so each ``(node, round)`` pair is dropped
+  at most once;
 * when no node is in always-awake mode, :meth:`Network.run` fast-forwards
   ``round_index`` straight to the next scheduled wake (or node-fault
   event, which must land in its own round) — idle rounds still
@@ -63,13 +70,14 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..obs.instrument import NULL_INSTRUMENT, resolve_instrument
 from .channels import ChannelSpec, make_channel
 from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
-from .program import NO_BROADCAST, Context, NodeProgram
+from .program import Context, NodeProgram
 from .state import allocate_columns, bind_state
 from .streams import NodeStreams
 from .vectorized import GraphArrays
@@ -226,6 +234,14 @@ class Network:
             bit_budget if bit_budget is not None else default_bit_budget(self.n)
         )
         self.programs = programs
+        template = next(iter(programs.values()))
+        #: The one program class every node runs, or None for a mixed
+        #: population.
+        self._program_class = (
+            type(template)
+            if all(type(p) is type(template) for p in programs.values())
+            else None
+        )
         self.ledger = ledger if ledger is not None else EnergyLedger(graph.nodes)
         self.round_index = -1
 
@@ -251,11 +267,11 @@ class Network:
         # Wake bookkeeping: nodes in always-awake mode run every round;
         # scheduled nodes run only at rounds present in ``_wake_calendar``.
         # ``_wake_heap`` holds every round that has (or once had) a calendar
-        # entry, so the next wake event is a heap peek; ``_node_schedules``
-        # inverts the calendar so a halting node can prune its dead entries.
+        # entry, so the next wake event is a heap peek. Halting leaves a
+        # node's entries in place; peeks drop halted nodes as they meet
+        # them (:meth:`_entry_is_live`).
         self._wake_calendar: Dict[int, Set[int]] = {}
         self._wake_heap: List[int] = []
-        self._node_schedules: Dict[int, Set[int]] = {}
         self._always_on: Set[int] = set(self.contexts)
         # (sorted list, snapshot set) of the always-on nodes, rebuilt only
         # when membership changes; mid-round changes leave the round's local
@@ -293,14 +309,14 @@ class Network:
         population keeps plain instance attributes (the descriptors'
         unbound path) and runs on the scalar loops.
         """
-        programs = self.programs
-        template = next(iter(programs.values()))
-        cls = type(template)
+        cls = self._program_class
+        if cls is None:
+            return
         schema = cls.state_schema()
         if not schema:
             return
-        if any(type(p) is not cls for p in programs.values()):
-            return
+        programs = self.programs
+        template = next(iter(programs.values()))
         for field in schema:
             if isinstance(field.width, str):
                 width = getattr(template, field.width)
@@ -339,7 +355,53 @@ class Network:
             heapq.heappush(self._wake_heap, wake_round)
         else:
             entry.add(node)
-        self._node_schedules.setdefault(node, set()).add(wake_round)
+
+    def _schedule_population(
+        self, ranks: np.ndarray, keys: np.ndarray, schedule_of
+    ) -> None:
+        """Put the nodes at ``ranks`` on scheduled sleeping: the node at
+        ``ranks[i]`` wakes at the rounds ``schedule_of(keys[i])``.
+
+        The population form of one ``ctx.use_wake_schedule`` per node.
+        Nodes that share a key share a schedule, so ``schedule_of`` runs
+        once per distinct key and each of its rounds takes the key's whole
+        group into the calendar in one set update.
+        """
+        contexts = self.contexts
+        sleepers = self._labels_of(ranks)
+        for node in sleepers:
+            contexts[node]._always_awake = False
+        self._always_on.difference_update(sleepers)
+        self._always_view = None
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        nodes = self._labels_of(ranks[by_key])
+        calendar = self._wake_calendar
+        for start, end in zip([0, *cuts.tolist()], [*cuts.tolist(), len(nodes)]):
+            group = nodes[start:end]
+            for wake_round in schedule_of(int(sorted_keys[start])):
+                if wake_round <= self.round_index:
+                    raise SchedulingError(
+                        f"node {group[0]} tried to schedule round "
+                        f"{wake_round} in the past (current round "
+                        f"{self.round_index})"
+                    )
+                entry = calendar.get(wake_round)
+                if entry is None:
+                    calendar[wake_round] = set(group)
+                    heapq.heappush(self._wake_heap, wake_round)
+                else:
+                    entry.update(group)
+
+    def _labels_of(self, ranks: np.ndarray) -> list:
+        """Node labels of ``ranks``, in order (the ranks themselves when
+        every label equals its rank)."""
+        graph = self.graph
+        if isinstance(graph, GraphArrays) and graph.identity_ranks:
+            return ranks.tolist()
+        order = self._node_order
+        return [order[rank] for rank in ranks.tolist()]
 
     def _set_always_awake(self, node: int, always: bool) -> None:
         if always:
@@ -350,48 +412,42 @@ class Network:
             self._always_on.discard(node)
             self._always_view = None
 
-    def _prune_schedule(self, node: int) -> None:
-        """Drop a halted node's future calendar entries.
-
-        Without this, dead entries would keep the heap (and the old linear
-        scan) reporting pending work for nodes that can never wake again.
-        Emptied calendar entries are deleted here; their heap rounds go
-        stale and are skipped lazily by :meth:`_next_wake_round`.
-        """
-        rounds = self._node_schedules.pop(node, None)
-        if not rounds:
-            return
-        calendar = self._wake_calendar
-        for wake_round in rounds:
-            entry = calendar.get(wake_round)
-            if entry is not None:
-                entry.discard(node)
-                if not entry:
-                    del calendar[wake_round]
-
     def _halt_many(self, halting) -> None:
         """Halt every node in ``halting`` — exactly ``Context.halt`` per
-        node, with the per-node method dispatch and schedule prune inlined
-        into one pass (the vectorized engine's bulk-halt path; a dense
-        JOIN round can retire thousands of nodes at once).
-        """
+        node, with the per-node method dispatch inlined into one pass (the
+        vectorized engine's bulk-halt path; a dense JOIN round can retire
+        thousands of nodes at once). Calendar entries stay; peeks drop
+        halted nodes lazily."""
         contexts = self.contexts
         always_on = self._always_on
-        schedules = self._node_schedules
-        calendar = self._wake_calendar
         for node in halting:
             contexts[node]._halted = True
             if node in always_on:
                 always_on.discard(node)
                 self._always_view = None
-            rounds = schedules.pop(node, None)
-            if rounds:
-                for wake_round in rounds:
-                    entry = calendar.get(wake_round)
-                    if entry is not None:
-                        entry.discard(node)
-                        if not entry:
-                            del calendar[wake_round]
+
+    def _entry_is_live(self, wake_round: int) -> bool:
+        """Whether the calendar entry at ``wake_round`` still holds a
+        live node, dropping the halted nodes the scan meets (and the
+        entry, once empty).
+
+        Each ``(node, round)`` pair is dropped at most once, and a scan
+        stops at the first live node, so peeks cost amortized O(1) per
+        calendar pair.
+        """
+        entry = self._wake_calendar.get(wake_round)
+        if entry is None:
+            return False
+        contexts = self.contexts
+        dead = []
+        for node in entry:
+            if not contexts[node]._halted:
+                if dead:
+                    entry.difference_update(dead)
+                return True
+            dead.append(node)
+        del self._wake_calendar[wake_round]
+        return False
 
     def _always_on_view(self) -> Tuple[List[int], Set[int]]:
         view = self._always_view
@@ -404,11 +460,10 @@ class Network:
     def _next_wake_round(self) -> Optional[int]:
         """Earliest future round with a live calendar entry (heap peek)."""
         heap = self._wake_heap
-        calendar = self._wake_calendar
         current = self.round_index
         while heap:
             wake_round = heap[0]
-            if wake_round > current and wake_round in calendar:
+            if wake_round > current and self._entry_is_live(wake_round):
                 return wake_round
             heapq.heappop(heap)
         return None
@@ -417,19 +472,24 @@ class Network:
     # Execution
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Run every ``on_start`` callback (free local precomputation)."""
+        """Run the free local precomputation before round 0: one
+        :meth:`NodeProgram.start_population` call per program class, over
+        the ascending ranks of that class's nodes."""
         if self._started:
             raise RuntimeError("network already started")
         self._started = True
         if self._observed:
             self.instrument.on_run_start(self)
-        for node in self._node_order:
-            self.programs[node].on_start(self.contexts[node])
-            ctx = self.contexts[node]
-            if ctx._outbox or ctx._bcast is not NO_BROADCAST:
-                raise SchedulingError(
-                    f"node {node} tried to send during on_start"
-                )
+        cls = self._program_class
+        if cls is not None:
+            cls.start_population(self, np.arange(len(self._node_order)))
+            return
+        classes: Dict[type, List[int]] = {}
+        programs = self.programs
+        for rank, node in enumerate(self._node_order):
+            classes.setdefault(type(programs[node]), []).append(rank)
+        for cls, ranks in classes.items():
+            cls.start_population(self, np.array(ranks, dtype=np.int64))
 
     def step(self) -> Set[int]:
         """Run one synchronous round; return the set of awake nodes."""
@@ -451,9 +511,6 @@ class Network:
         if scheduled:
             awake = set(self._always_on)
             for node in scheduled:
-                node_rounds = self._node_schedules.get(node)
-                if node_rounds is not None:
-                    node_rounds.discard(self.round_index)
                 ctx = self.contexts[node]
                 if not ctx._halted and not ctx._always_awake:
                     awake.add(node)
@@ -590,9 +647,7 @@ class Network:
         if cache is None:
             runner = None
             reason = "no program declares the vectorized-round capability"
-            programs = self.programs
-            first = next(iter(programs.values()))
-            cls = type(first)
+            cls = type(next(iter(self.programs.values())))
             factory = getattr(cls, "vector_round", None)
             if callable(factory):
                 obstacle = self.channel.vector_obstacle()
@@ -603,7 +658,7 @@ class Network:
                         "node-fault injection (crash/straggler plans) "
                         "requires the scalar step loop"
                     )
-                elif any(type(p) is not cls for p in programs.values()):
+                elif self._program_class is None:
                     reason = "nodes run heterogeneous program classes"
                 elif self.state_columns is None:
                     reason = (
@@ -655,7 +710,7 @@ class Network:
         """
         if runner is None:
             return False
-        if self._always_on or (self.round_index + 1) in self._wake_calendar:
+        if self._always_on or self._entry_is_live(self.round_index + 1):
             runner.step()
             return True
         return False

@@ -13,22 +13,28 @@ Sleeping semantics (Section 1.1 of the paper):
 * A node cannot be woken by another node; it wakes only at rounds it
   scheduled for itself (or it is in the default always-awake mode).
 
-Lifecycle per node::
+Lifecycle::
 
-    on_start(ctx)                 # before round 0; free local precomputation
-    while not halted:
+    start_population(network, ranks)  # once per program class, before
+                                       # round 0; default: on_start(ctx)
+                                       # per node
+    per node, while not halted:
         if awake this round:
-            on_round(ctx)         # send messages for this round
-            on_receive(ctx, msgs) # messages delivered this round
+            on_round(ctx)              # send messages for this round
+            on_receive(ctx, msgs)      # messages delivered this round
 
-``on_start`` is deliberately free of charge: the paper lets nodes do local
+The start is deliberately free of charge: the paper lets nodes do local
 sampling and schedule computation "before the algorithm even starts"
-(Section 2.1), which costs no awake rounds.
+(Section 2.1), which costs no awake rounds. Programs whose start is that
+kind of sampling override ``start_population`` and start the whole
+population in array passes instead of one ``on_start`` call per node.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import SchedulingError
 from .message import Message
@@ -177,12 +183,13 @@ class Context:
             self._network._set_always_awake(self.node, True)
 
     def halt(self) -> None:
-        """Terminate this node: it sleeps forever and charges no more energy."""
+        """Terminate this node: it sleeps forever and charges no more energy.
+
+        Its still-scheduled wake rounds stay in the calendar; the engine
+        drops halted nodes from an entry when it next looks at it.
+        """
         self._halted = True
         self._network._set_always_awake(self.node, False)
-        # Prune any still-scheduled wake rounds so the engine's pending-work
-        # accounting never re-checks entries that can no longer fire.
-        self._network._prune_schedule(self.node)
 
     # ------------------------------------------------------------------
     # Engine plumbing
@@ -204,6 +211,57 @@ class Context:
         if bcast is not NO_BROADCAST:
             self._bcast = NO_BROADCAST
         return outbox, bcast
+
+
+def population_groups(network: Any, ranks: np.ndarray, signature):
+    """Split a population by parameter signature, for start hooks.
+
+    Returns ``(template, group_ranks)`` pairs in first-seen order, where
+    every program at ``group_ranks`` has ``signature(program) ==
+    signature(template)``; a uniform population is one pair.
+    """
+    programs = network.programs
+    order = network._node_order
+    members = [programs[order[rank]] for rank in ranks.tolist()]
+    keys = list(map(signature, members))
+    first = keys[0]
+    if all(key == first for key in keys):
+        return [(members[0], ranks)]
+    groups: Dict[Any, List[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return [
+        (members[positions[0]], ranks[positions])
+        for positions in groups.values()
+    ]
+
+
+def store_state(
+    network: Any, ranks: np.ndarray, name: str, values: np.ndarray
+) -> None:
+    """Write one state field for the programs at ``ranks``: a column
+    slice when the network bound schema columns, else one attribute per
+    program (a mixed-class population keeps plain attributes)."""
+    columns = network.state_columns
+    if columns is not None:
+        columns[name][ranks] = values
+        return
+    programs = network.programs
+    order = network._node_order
+    for rank, value in zip(ranks.tolist(), values.tolist()):
+        setattr(programs[order[rank]], name, value)
+
+
+def set_outputs(network: Any, ranks: np.ndarray, **columns) -> None:
+    """Set ``ctx.output[key] = value`` for the nodes at ``ranks``, one
+    keyword per output key holding a value array parallel to ``ranks``
+    (keys are written in keyword order)."""
+    order = network._node_order
+    contexts = network.contexts
+    names = list(columns)
+    rows = zip(*(columns[name].tolist() for name in names))
+    for rank, row in zip(ranks.tolist(), rows):
+        contexts[order[rank]].output.update(zip(names, row))
 
 
 class NodeProgram:
@@ -248,6 +306,35 @@ class NodeProgram:
     #: ``tests/test_engine_equivalence.py`` enforces for every registered
     #: algorithm.
     vector_round = None
+
+    @classmethod
+    def start_population(cls, network: Any, ranks: np.ndarray) -> None:
+        """Start every node of this class (``ranks``: their ascending
+        ranks in ``network``) before round 0.
+
+        The default runs :meth:`on_start` node by node and rejects a node
+        that sent. A class whose start is local sampling plus a wake
+        schedule overrides this to draw the population's samples with
+        :meth:`NodeStreams.take <repro.congest.streams.NodeStreams.take>`
+        and lay the calendar down with ``Network._schedule_population``;
+        the override must leave the draw counters, calendar, outputs
+        and state exactly as the per-node hooks would.
+        """
+        order = network._node_order
+        # ``ranks`` are distinct: as many ranks as nodes is every node.
+        nodes = (
+            order if ranks.size == len(order)
+            else [order[rank] for rank in ranks.tolist()]
+        )
+        programs = network.programs
+        contexts = network.contexts
+        for node in nodes:
+            ctx = contexts[node]
+            programs[node].on_start(ctx)
+            if ctx._outbox or ctx._bcast is not NO_BROADCAST:
+                raise SchedulingError(
+                    f"node {node} tried to send during on_start"
+                )
 
     def on_start(self, ctx: Context) -> None:
         """Free local precomputation before round 0 (no sending allowed)."""

@@ -5,8 +5,9 @@ A :class:`~repro.congest.network.Network` owns one :class:`NodeStreams`: a
 rank ``r`` is ``(mix(key ^ mix(r*G + 1) + k*G) >> 11) * 2**-53`` (mod
 2**64; ``mix`` is the SplitMix64 finalizer, ``G`` the golden ratio), read
 by scalar hooks through ``ctx.rng`` (:class:`NodeRandom`, python ints) and
-by vector kernels through :meth:`NodeStreams.take` (numpy ``uint64``). Both
-bump the same counters, so scalar and vectorized rounds interleave freely.
+by vector kernels and population start hooks through
+:meth:`NodeStreams.take` (numpy ``uint64``). Both bump the same counters,
+so scalar and vectorized rounds interleave freely.
 """
 
 from __future__ import annotations
@@ -44,6 +45,24 @@ class NodeStreams:
         z = _mix(ranks.astype(np.uint64) * _G + 1) ^ self.key
         z += drawn * _G
         return (_mix(z) >> 11).astype(np.float64) * 2.0**-53
+
+    def geometric(self, ranks: np.ndarray, p: float) -> np.ndarray:
+        """:meth:`NodeRandom.geometric` for each (distinct) rank, as
+        float64 trial counts (``p >= 1`` draws nothing).
+
+        The logarithm is ``math.log1p`` per uniform, as in the scalar
+        form: ``np.log1p`` differs from it in the last bit on some inputs,
+        which would move a node's sampled round.
+        """
+        if p >= 1.0:
+            return np.ones(ranks.size)
+        if not p > 0.0:
+            raise ValueError(f"geometric needs 0 < p <= 1, got {p}")
+        negated = (-self.take(ranks)).tolist()
+        logs = np.fromiter(
+            map(math.log1p, negated), dtype=np.float64, count=len(negated)
+        )
+        return 1.0 + np.floor(logs / math.log1p(-p))
 
 
 class NodeRandom:

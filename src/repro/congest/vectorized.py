@@ -533,11 +533,9 @@ class VectorRound:
         is unioned in.  The filters run as numpy gathers over three rank
         masks built once per engagement (halts during the engagement only
         arrive through :meth:`halt_ranks`, which updates the halted mask
-        in place).  Unlike the scalar step, the popped nodes' inverse
-        ``_node_schedules`` entries are left stale — harmless, because
-        :meth:`Network._prune_schedule` treats rounds whose calendar entry
-        is already gone as no-ops, and a scalar resume discards its own
-        rounds as it executes them.
+        in place).  The calendar is round-keyed only, so popping the
+        entry is all the bookkeeping a round needs; halted nodes still in
+        the entry are what the halted mask filters out.
         """
         network = self.network
         arrays = self.arrays

@@ -39,6 +39,11 @@ import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, NodeProgram, StateField, channel_scope
+from ..congest.program import (
+    population_groups,
+    set_outputs,
+    store_state,
+)
 from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
 from ..graphs.properties import induced_subgraph, max_degree
 from ..result import MISResult
@@ -46,13 +51,18 @@ from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
 from .phase1_alg1 import (
     Phase1Alg1Program,
     run_phase1_alg1,
-    sample_marked_round,
+    sample_marked_rounds,
 )
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
 from .phase3 import _derive_seed, run_phase3
 from .phase_result import PhaseResult, phase_metrics, run_network_phase
 from .pipeline import combine_phases, driver_inputs, observed_phase
+
+
+_LEMMA42_SIGNATURE = attrgetter(
+    "iterations", "rounds_per_iteration", "delta", "config", "n"
+)
 
 
 class Lemma42Program(NodeProgram):
@@ -83,8 +93,8 @@ class Lemma42Program(NodeProgram):
         self.delta = max(1, delta)
         self.config = config
         self.n = n
-        self.sampled_iteration: Optional[int] = None
-        self.sampled_round: Optional[int] = None
+        self.sampled_iteration = -1
+        self.sampled_round = -1
         self.joined = False
         self.announced_join = False
         self.dominated = False
@@ -95,10 +105,9 @@ class Lemma42Program(NodeProgram):
 
     @classmethod
     def state_schema(cls):
-        # ``sampled_iteration``/``sampled_round`` stay Optional[int]
-        # instance slots: written once in ``on_start``, never in the round
-        # loop.
         return (
+            StateField("sampled_iteration", np.int64, default=-1),
+            StateField("sampled_round", np.int64, default=-1),
             StateField("joined", np.bool_),
             StateField("announced_join", np.bool_),
             StateField("dominated", np.bool_),
@@ -108,27 +117,45 @@ class Lemma42Program(NodeProgram):
             StateField("nonspoiled_count", np.int64),
         )
 
-    # ------------------------------------------------------------------
-    def on_start(self, ctx):
-        ctx.output["joined"] = False
-        ctx.output["failed"] = False
-        ctx.output["sampled"] = False
-        marked_round = sample_marked_round(
-            ctx.rng, self.iterations, self.rounds_per_iteration, self.delta,
-            10.0,
-        )
+    def wake_rounds(self, sampled_iteration: int):
+        """Engine rounds a node sampled in ``sampled_iteration`` (``-1``:
+        never) wakes at: all of its own iteration's mark/join rounds,
+        plus every iteration's status block."""
+        mark_join = 2 * self.rounds_per_iteration
         wake = set()
-        if marked_round is not None:
-            self.sampled_iteration, self.sampled_round = divmod(
-                marked_round, self.rounds_per_iteration
-            )
-            ctx.output["sampled"] = True
-            base = self.sampled_iteration * self.stride
-            wake.update(range(base, base + 2 * self.rounds_per_iteration))
+        if sampled_iteration >= 0:
+            base = sampled_iteration * self.stride
+            wake.update(range(base, base + mark_join))
         for iteration in range(self.iterations):
-            block = iteration * self.stride + 2 * self.rounds_per_iteration
+            block = iteration * self.stride + mark_join
             wake.update((block, block + 1, block + 2))
-        ctx.use_wake_schedule(sorted(wake))
+        return sorted(wake)
+
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Sample every node's one-shot marking round (as in Phase I of
+        Algorithm 1, divisor 10) and lay down the population's wakes."""
+        for template, group in population_groups(
+            network, ranks, _LEMMA42_SIGNATURE
+        ):
+            marked = sample_marked_rounds(
+                network.streams, group, template.iterations,
+                template.rounds_per_iteration, template.delta, 10.0,
+            )
+            sampled = marked >= 0
+            iteration, algo_round = np.divmod(
+                marked, template.rounds_per_iteration
+            )
+            iteration[~sampled] = -1
+            algo_round[~sampled] = -1
+            store_state(network, group, "sampled_iteration", iteration)
+            store_state(network, group, "sampled_round", algo_round)
+            unset = np.zeros(group.size, dtype=bool)
+            set_outputs(network, group, joined=unset, failed=unset,
+                        sampled=sampled)
+            network._schedule_population(
+                group, iteration, template.wake_rounds
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -145,10 +172,7 @@ class Lemma42Program(NodeProgram):
 
     def _spoiled_at(self, iteration: int) -> bool:
         """Sampled in this or an earlier iteration (its round has passed)."""
-        return (
-            self.sampled_iteration is not None
-            and self.sampled_iteration <= iteration
-        )
+        return 0 <= self.sampled_iteration <= iteration
 
     def _check_failure(self, iteration: int, spoiled, nonspoiled):
         """Conditions (A)/(B) at the end of ``iteration``: too many spoiled
@@ -230,12 +254,9 @@ class Lemma42Program(NodeProgram):
         """Engine capability hook: one flat column set per network needs
         every node to share the phase parameters (``run_lemma42`` always
         builds them that way; hand-built heterogeneous networks decline)."""
-        signature = attrgetter(
-            "iterations", "rounds_per_iteration", "delta", "config", "n"
-        )
         programs = network.programs.values()
-        first = signature(next(iter(programs)))
-        if any(signature(program) != first for program in programs):
+        first = _LEMMA42_SIGNATURE(next(iter(programs)))
+        if any(_LEMMA42_SIGNATURE(program) != first for program in programs):
             return None
         return _Lemma42VectorRound(network)
 
@@ -245,7 +266,7 @@ class _Lemma42VectorRound(VectorRound):
 
     Schedule-driven like the Phase I kernels: each round's awake set is
     the wake calendar's entry (:meth:`VectorRound.pop_scheduled_awake`),
-    and all randomness was consumed in ``on_start``. Every round makes
+    and all randomness was consumed at start. Every round makes
     exactly one :meth:`VectorRound.count_broadcasts` call, so counters and
     trace records match the scalar delivery. Bit-identity hinges on
     mirroring the scalar rules exactly:
@@ -267,18 +288,10 @@ class _Lemma42VectorRound(VectorRound):
     """
 
     def load(self) -> None:
-        arrays = self.arrays
-        network = self.network
-        n = arrays.n
-        self.template = network.programs[arrays.nodes[0]]
-        self.sampled_iteration = np.full(n, -1, dtype=np.int64)
-        self.sampled_round = np.full(n, -1, dtype=np.int64)
-        for i, node in enumerate(arrays.nodes):
-            program = network.programs[node]
-            if program.sampled_iteration is not None:
-                self.sampled_iteration[i] = program.sampled_iteration
-                self.sampled_round[i] = program.sampled_round
+        self.template = self.network.programs[self.arrays.nodes[0]]
         columns = self.state_columns
+        self.sampled_iteration = columns["sampled_iteration"].copy()
+        self.sampled_round = columns["sampled_round"].copy()
         self.joined = columns["joined"].copy()
         self.announced = columns["announced_join"].copy()
         self.dominated = columns["dominated"].copy()

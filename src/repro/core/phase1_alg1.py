@@ -35,12 +35,18 @@ an earlier-acting neighbor delivered the neighbor's outcome.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, NodeProgram, StateField
+from ..congest.program import (
+    population_groups,
+    set_outputs,
+    store_state,
+)
 from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
 from ..graphs.properties import max_degree
 from ..schedule import schedule_for_round
@@ -52,29 +58,45 @@ _MARK = 1
 _JOIN = 2
 
 
-def sample_marked_round(
-    rng,
+def sample_marked_rounds(
+    streams,
+    ranks: np.ndarray,
     iterations: int,
     rounds_per_iteration: int,
     delta: int,
     mark_divisor: float,
-) -> Optional[int]:
-    """A node's one-shot marking round, or None if it is never marked.
+) -> np.ndarray:
+    """Each node's one-shot marking round, or -1 if it is never marked.
 
-    One geometric draw per iteration instead of a coin per round: the
-    node is marked in iteration ``i`` (probability ``2^i / (divisor·Δ)``
-    per round) iff a Geometric(p_i) variable lands within the iteration's
-    round budget. The result counts rounds from the phase start, so
-    ``divmod(result, rounds_per_iteration)`` is (iteration, round).
+    One geometric draw per iteration instead of a coin per round: a node
+    is marked in iteration ``i`` (probability ``2^i / (divisor·Δ)`` per
+    round) iff a Geometric(p_i) variable lands within the iteration's
+    round budget. Only nodes not yet marked draw, one
+    :meth:`~repro.congest.streams.NodeStreams.geometric` call per
+    iteration for all of them. The result counts rounds from the phase
+    start, so ``divmod(result, rounds_per_iteration)`` is (iteration,
+    round).
     """
+    marked = np.full(ranks.size, -1, dtype=np.int64)
+    pending = np.arange(ranks.size)
     for iteration in range(iterations):
+        if not pending.size:
+            break
         probability = min(1.0, (2.0**iteration) / (mark_divisor * delta))
         if probability <= 0.0:
             continue
-        gap = int(rng.geometric(probability))
-        if gap <= rounds_per_iteration:
-            return iteration * rounds_per_iteration + (gap - 1)
-    return None
+        gaps = streams.geometric(ranks[pending], probability)
+        hit = gaps <= rounds_per_iteration
+        marked[pending[hit]] = (
+            iteration * rounds_per_iteration + gaps[hit].astype(np.int64) - 1
+        )
+        pending = pending[~hit]
+    return marked
+
+
+_PHASE1_SIGNATURE = attrgetter(
+    "iterations", "rounds_per_iteration", "delta", "mark_divisor"
+)
 
 
 class Phase1Alg1Program(NodeProgram):
@@ -92,41 +114,56 @@ class Phase1Alg1Program(NodeProgram):
         self.total_rounds = iterations * rounds_per_iteration
         self.delta = max(1, delta)
         self.mark_divisor = mark_divisor
-        self.marked_round: Optional[int] = None
+        self.marked_round = -1
         self.joined = False
         self.dominated = False
         self.saw_marked_neighbor = False
 
     @classmethod
     def state_schema(cls):
-        # ``marked_round`` keeps its Optional[int] instance slot: it is
-        # written once in ``on_start`` and the kernel maps None to -1 on
-        # load, so a typed column would buy nothing in the hot loop.
         return (
+            StateField("marked_round", np.int64, default=-1),
             StateField("joined", np.bool_),
             StateField("dominated", np.bool_),
             StateField("saw_marked_neighbor", np.bool_),
         )
 
-    def on_start(self, ctx):
-        ctx.output["joined"] = False
-        ctx.output["sampled"] = False
-        self.marked_round = sample_marked_round(
-            ctx.rng, self.iterations, self.rounds_per_iteration, self.delta,
-            self.mark_divisor,
-        )
-        if self.marked_round is None:
-            ctx.use_wake_schedule([])  # sleeps through the entire phase
-            return
-        ctx.output["sampled"] = True
-        schedule = schedule_for_round(self.total_rounds, self.marked_round)
+    def wake_rounds(self, marked_round: int):
+        """Engine rounds a node marked at ``marked_round`` wakes at: the
+        status and join sub-rounds of its Lemma 2.5 schedule, plus its own
+        mark sub-round (none for an unmarked node, ``-1``)."""
+        if marked_round < 0:
+            return []
         wake_rounds = []
-        for algo_round in schedule:
+        for algo_round in schedule_for_round(self.total_rounds, marked_round):
             wake_rounds.append(3 * algo_round + _STATUS)
-            if algo_round == self.marked_round:
+            if algo_round == marked_round:
                 wake_rounds.append(3 * algo_round + _MARK)
             wake_rounds.append(3 * algo_round + _JOIN)
-        ctx.use_wake_schedule(sorted(set(wake_rounds)))
+        return sorted(set(wake_rounds))
+
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Sample every node's marking round (one draw per iteration for
+        the still-unmarked nodes, grouped by tuning parameters) and lay
+        down the sampled nodes' Lemma 2.5 schedules; never-sampled nodes
+        sleep through the entire phase."""
+        for template, group in population_groups(
+            network, ranks, _PHASE1_SIGNATURE
+        ):
+            marked = sample_marked_rounds(
+                network.streams, group, template.iterations,
+                template.rounds_per_iteration, template.delta,
+                template.mark_divisor,
+            )
+            store_state(network, group, "marked_round", marked)
+            set_outputs(
+                network, group, joined=np.zeros(group.size, dtype=bool),
+                sampled=marked >= 0,
+            )
+            network._schedule_population(
+                group, marked, template.wake_rounds
+            )
 
     # ------------------------------------------------------------------
     def on_round(self, ctx):
@@ -171,10 +208,10 @@ class _Phase1Alg1VectorRound(VectorRound):
 
     Unlike the always-on baselines, this phase is *schedule-driven*: the
     active set of every round comes from the wake calendar the programs
-    laid down in ``on_start`` (Lemma 2.5 overlap schedules), so the kernel
+    laid down at start (Lemma 2.5 overlap schedules), so the kernel
     assembles a boolean awake mask per round via
     :meth:`VectorRound.pop_scheduled_awake` and masks every reduction with
-    it.  All randomness was consumed in ``on_start`` (the one-shot
+    it.  All randomness was consumed at start (the one-shot
     ``marked_round`` sample), so the dense rounds draw nothing.
 
     Bit-identity hinges on mirroring the scalar receive rules exactly:
@@ -189,18 +226,11 @@ class _Phase1Alg1VectorRound(VectorRound):
     """
 
     def load(self) -> None:
-        arrays = self.arrays
-        network = self.network
-        n = arrays.n
-        self.marked_round = np.full(n, -1, dtype=np.int64)
         columns = self.state_columns
+        self.marked_round = columns["marked_round"].copy()
         self.joined = columns["joined"].copy()
         self.dominated = columns["dominated"].copy()
         self.saw_marked = columns["saw_marked_neighbor"].copy()
-        for i, node in enumerate(arrays.nodes):
-            marked_round = network.programs[node].marked_round
-            if marked_round is not None:
-                self.marked_round[i] = marked_round
 
     def flush_state(self) -> None:
         columns = self.state_columns

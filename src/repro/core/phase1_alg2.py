@@ -38,12 +38,18 @@ cap ``R ≤ 4·Δ^0.1`` — the cap is inactive in the paper's regime (there
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Optional, Set
 
 import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, NodeProgram, StateField
+from ..congest.program import (
+    population_groups,
+    set_outputs,
+    store_state,
+)
 from ..congest.vectorized import (
     GraphArrays,
     VectorRound,
@@ -74,6 +80,11 @@ def sampling_rounds(n: int, delta: int, config: AlgorithmConfig) -> int:
     return min(base, cap)
 
 
+_ALG2_SIGNATURE = attrgetter(
+    "delta", "rounds", "tag_probability", "premark_probability"
+)
+
+
 class Phase1Alg2Program(NodeProgram):
     """Node program for one Lemma 3.1 iteration with parameter ``delta``."""
 
@@ -91,7 +102,7 @@ class Phase1Alg2Program(NodeProgram):
             config.alg2_high_degree_factor
             * self.delta**config.alg2_mark_exponent
         )
-        # Sampling outcomes (filled in on_start); -1 = "never".
+        # Sampling outcomes (filled in at start); -1 = "never".
         self.tag_round = -1
         self.premark_round = -1
         self.action_round = -1
@@ -127,46 +138,65 @@ class Phase1Alg2Program(NodeProgram):
         )
 
     # ------------------------------------------------------------------
-    def _first_heads(self, rng, probability: float) -> int:
-        if probability <= 0.0:
-            return -1
-        gap = int(rng.geometric(min(1.0, probability)))
-        return gap - 1 if gap <= self.rounds else -1
-
     @property
     def spoiled(self) -> bool:
         return self.action_round >= 0
 
-    def on_start(self, ctx):
-        ctx.output["joined"] = False
-        ctx.output["sampled"] = False
-        self.tag_round = self._first_heads(ctx.rng, self.tag_probability)
-        self.premark_round = self._first_heads(
-            ctx.rng, self.premark_probability
-        )
-        candidates = [
-            r for r in (self.tag_round, self.premark_round) if r >= 0
-        ]
-        self.action_round = min(candidates) if candidates else -1
-        # A later sampling of the other type never happens (the node is
-        # spoiled after its first action round).
-        if self.tag_round != self.action_round:
-            self.tag_round = -1
-        if self.premark_round != self.action_round:
-            self.premark_round = -1
+    def _first_heads(self, streams, ranks, probability: float):
+        """Per node, the first round (``< rounds``) of a one-shot
+        sampling at ``probability`` per round, or -1."""
+        if probability <= 0.0:
+            return np.full(ranks.size, -1, dtype=np.int64)
+        gaps = streams.geometric(ranks, min(1.0, probability))
+        return np.where(
+            gaps <= self.rounds, gaps - 1, -1.0
+        ).astype(np.int64)
 
+    def wake_rounds(self, action_round: int):
+        """Engine rounds a node acting at ``action_round`` (``-1``: never
+        sampled) wakes at: the status and join sub-rounds of its Lemma 2.5
+        schedule, its own tag and mark sub-rounds, and the end block."""
         wake = set()
-        if self.action_round >= 0:
-            ctx.output["sampled"] = True
-            for entry in schedule_for_round(self.rounds, self.action_round):
+        if action_round >= 0:
+            for entry in schedule_for_round(self.rounds, action_round):
                 wake.add(4 * entry + _STATUS)
                 wake.add(4 * entry + _JOIN)
-            wake.add(4 * self.action_round + _TAG)
-            wake.add(4 * self.action_round + _MARK)
+            wake.add(4 * action_round + _TAG)
+            wake.add(4 * action_round + _MARK)
         # End block: every node, sampled or not.
         end = 4 * self.rounds
         wake.update((end, end + 1, end + 2, end + 3))
-        ctx.use_wake_schedule(sorted(wake))
+        return sorted(wake)
+
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Draw every node's tag sample, then its pre-mark sample; the
+        earlier of the two is its one action round (the later one never
+        happens: the node is spoiled by then). Lays down the population's
+        wakes in one pass."""
+        for template, group in population_groups(
+            network, ranks, _ALG2_SIGNATURE
+        ):
+            streams = network.streams
+            tag = template._first_heads(
+                streams, group, template.tag_probability
+            )
+            premark = template._first_heads(
+                streams, group, template.premark_probability
+            )
+            tag_first = (tag >= 0) & ((premark < 0) | (tag <= premark))
+            action = np.where(tag_first, tag, premark)
+            store_state(network, group, "tag_round",
+                        np.where(tag == action, tag, -1))
+            store_state(network, group, "premark_round",
+                        np.where(premark == action, premark, -1))
+            store_state(network, group, "action_round", action)
+            set_outputs(network, group,
+                        joined=np.zeros(group.size, dtype=bool),
+                        sampled=action >= 0)
+            network._schedule_population(
+                group, action, template.wake_rounds
+            )
 
     # ------------------------------------------------------------------
     def on_round(self, ctx):

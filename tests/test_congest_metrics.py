@@ -1,8 +1,21 @@
 """Unit tests for the energy ledger and run metrics."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.congest import EnergyLedger, RunMetrics
+
+# One ledger operation: ("charge", node, rounds), ("charge_many", nodes,
+# rounds) or ("ensure", nodes, 0), over node ids 0..19 (ids >= 10 start
+# untracked, so charging one before ``ensure`` raises KeyError).
+_NODE = st.integers(0, 19)
+_OPERATION = st.one_of(
+    st.tuples(st.just("charge"), _NODE, st.integers(0, 5)),
+    st.tuples(st.just("charge_many"), st.lists(_NODE, max_size=8),
+              st.integers(0, 5)),
+    st.tuples(st.just("ensure"), st.lists(_NODE, max_size=4), st.just(0)),
+)
 
 
 class TestEnergyLedger:
@@ -47,6 +60,27 @@ class TestEnergyLedger:
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger([])
+
+    @given(st.lists(_OPERATION, max_size=40))
+    def test_aggregates_match_a_recount(self, operations):
+        """The kept total and maximum equal a recount of the per-node
+        values after any sequence of charges and node additions,
+        including charges that fail part-way on an unknown node."""
+        ledger = EnergyLedger(range(10))
+        for kind, target, rounds in operations:
+            try:
+                if kind == "charge":
+                    ledger.charge(target, rounds)
+                elif kind == "charge_many":
+                    ledger.charge_many(iter(target), rounds)
+                else:
+                    ledger.ensure_nodes(target)
+            except KeyError:
+                pass
+            values = ledger.snapshot().values()
+            assert ledger.total_energy() == sum(values)
+            assert ledger.max_energy() == max(values)
+            assert ledger.average_energy() == sum(values) / len(values)
 
     def test_snapshot_is_a_copy(self):
         ledger = EnergyLedger([1])

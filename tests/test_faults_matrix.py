@@ -12,9 +12,11 @@ fault masks (``VectorRound.faults``): kernels declare no capability, so a
 kernel that ignored them would run fault-free rounds here.
 """
 
+import numpy as np
 import pytest
 
 from repro.congest import Network
+from repro.faults.channels import FaultChannel
 from repro.graphs import make_family
 from repro.harness import ALGORITHMS, run_algorithm
 from repro.harness.runner import (
@@ -120,4 +122,65 @@ def test_every_kernel_matches_scalar_under_total_loss(program):
         metrics = network.run(engine=engine)
         outputs = {v: ctx.output for v, ctx in network.contexts.items()}
         runs[engine] = (metrics, network.ledger.snapshot(), outputs)
+    assert runs["vectorized"] == runs["fast"]
+
+
+class _ParityLoss(FaultChannel):
+    """Loses every delivery on rounds of one parity and none on the other.
+
+    The pattern does not depend on inbox shapes or edge slots, so the
+    scalar and vectorized paths see the same faults.
+    """
+
+    kind = "parity-loss"
+
+    def __init__(self, inner=None, *, parity: int):
+        self.parity = parity
+        super().__init__(inner)
+
+    def deliver(self, ordered, awake):
+        inboxes = self.inner.deliver(ordered, awake)
+        if self._network.round_index % 2 != self.parity:
+            return inboxes
+        self._count_fault_drops(sum(len(inbox) for inbox in inboxes.values()))
+        return {}
+
+    def _vector_state(self, arrays):
+        self._slots = arrays.indices.shape[0]
+        return self
+
+    def round_keep(self, round_index):
+        if round_index % 2 != self.parity:
+            return None
+        return np.zeros(self._slots, dtype=bool)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+def test_every_kernel_drops_every_copy_on_fully_lost_rounds(program, parity):
+    """Every wave a kernel sends in a fully lost round must go through
+    the keep mask, read or not: the round delivers nothing and counts
+    every copy it sent as dropped. With a pattern both engines share, the
+    kernel must also reproduce the scalar run bit for bit."""
+    graph = make_family("gnp_log_degree", 96, seed=3)
+    make = kernel_programs(graph)[program]
+    runs = {}
+    for engine in ("fast", "vectorized"):
+        network = Network(
+            graph, {v: make() for v in graph.nodes}, seed=11,
+            channel=_ParityLoss("congest", parity=parity), trace=True,
+        )
+        metrics = network.run(engine=engine)
+        lost = [
+            record for record in network.trace.records
+            if record.round_index % 2 == parity
+        ]
+        for record in lost:
+            assert record.messages_delivered == 0, (engine, record)
+            assert record.messages_dropped == record.messages_sent, \
+                (engine, record)
+        assert any(record.messages_sent for record in lost), engine
+        outputs = {v: ctx.output for v, ctx in network.contexts.items()}
+        runs[engine] = (metrics, network.ledger.snapshot(), outputs)
+    assert network.vector_rounds > 0
     assert runs["vectorized"] == runs["fast"]

@@ -123,6 +123,23 @@ def test_geometric_rejects_nonpositive_p_and_certain_coin_draws_nothing():
     assert int(streams.counters[0]) == 0
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.01, 1e-6])
+def test_population_geometric_equals_the_scalar_view(p):
+    """``NodeStreams.geometric`` is ``NodeRandom.geometric`` per rank:
+    the same trial counts and the same draw counters."""
+    n = 3000
+    vector = NodeStreams(5, n)
+    scalar = NodeStreams(5, n)
+    ranks = np.arange(0, n, 2)
+    drawn = vector.geometric(ranks, p)
+    expected = [NodeRandom(scalar, r).geometric(p) for r in ranks.tolist()]
+    assert drawn.tolist() == expected
+    assert np.array_equal(vector.counters, scalar.counters)
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            vector.geometric(ranks, bad)
+
+
 def test_integers_stay_in_range():
     view = NodeRandom(NodeStreams(4, 1), 0)
     values = [view.integers(3, 10) for _ in range(5000)]
