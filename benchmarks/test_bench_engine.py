@@ -109,9 +109,9 @@ def _timed_run(make_network, engine):
     best = None
     for _ in range(TIMING_ATTEMPTS):
         network = make_network()
-        with engine_path(engine):
+        with engine_path(engine) as path:
             start = time.perf_counter()
-            metrics = network.run()
+            metrics = network.run(engine=path)
             elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed

@@ -21,6 +21,7 @@ Run:  python examples/radio_collisions.py
 from repro import graphs
 from repro.analysis import verify_mis
 from repro.baselines import radio_decay_mis
+from repro.congest import RunOptions
 
 
 def main():
@@ -32,7 +33,9 @@ def main():
               f"{'max energy':>11} {'avg energy':>11} {'collisions':>11}")
     print(header)
     for channel in ("broadcast", "congest"):
-        result = radio_decay_mis(field, seed=11, channel=channel)
+        result = radio_decay_mis(
+            field, seed=11, options=RunOptions(channel=channel)
+        )
         report = verify_mis(field, result.mis)
         assert report.independent, f"{channel}: independence violated"
         print(f"{channel:>18} {len(result.mis):>6} {result.rounds:>7} "
@@ -53,7 +56,9 @@ def main():
     # Collision *detection* is load-bearing, not a luxury: without it a
     # candidate standing between two colliding competitors hears silence,
     # never withdraws, and adjacent winners slip into the set together.
-    result = radio_decay_mis(field, seed=11, channel="broadcast-no-cd")
+    result = radio_decay_mis(
+        field, seed=11, options=RunOptions(channel="broadcast-no-cd")
+    )
     report = verify_mis(field, result.mis)
     print(
         f"\nwithout collision detection (broadcast-no-cd): "

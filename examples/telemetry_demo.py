@@ -18,7 +18,7 @@ import tempfile
 
 from repro import graphs
 from repro.harness import run_algorithm, sweep
-from repro.obs import RecordingInstrument, instrument_scope, render_profile
+from repro.obs import RecordingInstrument, render_profile
 from repro.obs.report import report_file
 from repro.obs.telemetry import telemetry_scope
 
@@ -35,11 +35,11 @@ def main():
 
     # ------------------------------------------------------------------
     # 2. Attach a custom instrument: the same event stream the engines
-    #    emit for the profiler is available to any Instrument subclass.
+    #    emit for the profiler is available to any Instrument subclass,
+    #    and run_algorithm hands it to every network the run builds.
     # ------------------------------------------------------------------
     rec = RecordingInstrument()
-    with instrument_scope(rec):
-        run_algorithm("luby", graph, seed=0)
+    run_algorithm("luby", graph, seed=0, instrument=rec)
     rounds = rec.of_kind("round")
     print("\n== luby event stream ==")
     print(f"engine emitted {len(rounds)} awake rounds, "

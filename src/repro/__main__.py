@@ -24,7 +24,7 @@ import sys
 from time import perf_counter
 
 from .analysis import verify_mis
-from .congest import CHANNELS, ENGINE_MODES, set_engine_mode
+from .congest import CHANNELS, ENGINE_MODES, RunOptions
 from .graphs import FAMILIES, make_family
 from .harness import ALGORITHMS, run_algorithm
 from .obs import configure_logging, get_logger, set_telemetry_path
@@ -266,7 +266,6 @@ def _static_main(argv) -> int:
         except ValueError as error:
             parser.error(str(error))
 
-    set_engine_mode(args.engine)
     set_telemetry_path(args.telemetry)
     _install_resilience(args)
 
@@ -296,8 +295,8 @@ def _static_main(argv) -> int:
         )
     started = perf_counter()
     result = run_algorithm(
-        args.algorithm, graph, seed=args.seed, channel=channel,
-        profile=args.profile, faults=faults,
+        args.algorithm, graph, seed=args.seed, engine=args.engine,
+        channel=channel, profile=args.profile, faults=faults,
     )
     elapsed = perf_counter() - started
     _log.info("run finished in %.3fs", elapsed)
@@ -305,8 +304,8 @@ def _static_main(argv) -> int:
     from .harness import emit_static_record
 
     emit_static_record(
-        args.algorithm, graph, args.seed, channel, result, report,
-        elapsed, extra={"family": args.family},
+        args.algorithm, graph, args.seed, channel, args.engine, result,
+        report, elapsed, extra={"family": args.family},
     )
 
     print(f"graph:        {args.family}, n={graph.number_of_nodes()}, "
@@ -348,8 +347,8 @@ def _static_multi_seed(args, channel, fault_plan_params) -> int:
         f", streaming telemetry to {args.telemetry}" if args.telemetry else "",
     )
     tasks = [
-        (args.algorithm, args.family, args.n, seed, channel)
-        + ((fault_plan_params,) if fault_plan_params else ())
+        (args.algorithm, args.family, args.n, seed, channel,
+         fault_plan_params or None, args.engine)
         for seed in seeds
     ]
     checkpoint = None
@@ -357,13 +356,7 @@ def _static_multi_seed(args, channel, fault_plan_params) -> int:
         from .harness import SweepCheckpoint
 
         checkpoint = SweepCheckpoint(args.checkpoint, resume=args.resume)
-    # Engine mode is ambient (not part of the task tuple), so it must be
-    # re-installed inside each worker — spawn-started pools inherit
-    # nothing from the parent's set_engine_mode call.
-    outcomes = measure_many(
-        tasks, n_jobs=args.jobs, checkpoint=checkpoint,
-        initializer=set_engine_mode, initargs=(args.engine,),
-    )
+    outcomes = measure_many(tasks, n_jobs=args.jobs, checkpoint=checkpoint)
 
     print(f"graph:     {args.family}, n={args.n}")
     print(f"algorithm: {args.algorithm}, seeds {seeds[0]}..{seeds[-1]}, "
@@ -493,22 +486,20 @@ def _dynamic_main(argv) -> int:
         from .obs import Profiler
 
         profiler = Profiler()
-    from .obs import instrument_scope
-
     # Record (rather than raise on) invariant violations so a failed
     # w.h.p. run reports cleanly through the exit code below.
     started = perf_counter()
-    with instrument_scope(profiler):
-        result = run_dynamic_workload(
-            args.workload,
-            args.algorithm,
-            strategy=args.strategy,
-            n=args.n,
-            epochs=args.epochs,
-            seed=args.seed,
-            rate=args.rate,
-            check_invariant=False,
-        )
+    result = run_dynamic_workload(
+        args.workload,
+        args.algorithm,
+        strategy=args.strategy,
+        n=args.n,
+        epochs=args.epochs,
+        seed=args.seed,
+        rate=args.rate,
+        check_invariant=False,
+        options=RunOptions(instrument=profiler),
+    )
     elapsed = perf_counter() - started
     from .harness import emit_dynamic_record
 

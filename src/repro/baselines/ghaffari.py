@@ -30,7 +30,14 @@ from typing import List, Optional, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    Network,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.vectorized import VectorRound
 from ..result import MISResult
 
@@ -334,15 +341,18 @@ def ghaffari_mis(
     max_rounds: int = 200_000,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
-    """Run Ghaffari's algorithm to completion (single execution) as a baseline."""
+    """Run Ghaffari's algorithm to completion (single execution) as a
+    baseline, under ``options`` (engine, channel, node faults,
+    instrument)."""
     programs = {node: GhaffariProgram() for node in graph.nodes}
     network = Network(
         graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
-        channel=channel,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    metrics = network.run(max_rounds=max_rounds)
+    metrics = network.run(max_rounds=max_rounds, engine=options.engine)
     mis = {node for node, flag in network.outputs("in_mis").items() if flag}
     return MISResult(mis=mis, metrics=metrics, algorithm="ghaffari2016")
 
@@ -354,6 +364,7 @@ def ghaffari_shatter(
     *,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> Tuple[Set[int], Set[int], "Network"]:
     """Run a fixed number of iterations with all nodes awake (Phase II core).
 
@@ -365,9 +376,11 @@ def ghaffari_shatter(
         node: GhaffariProgram(iterations=iterations) for node in graph.nodes
     }
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
+        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    network.run(max_rounds=10 * iterations + 16)
+    network.run(max_rounds=10 * iterations + 16, engine=options.engine)
     joined = set()
     undecided = set()
     for node in graph.nodes:

@@ -22,7 +22,14 @@ from typing import Optional, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    Network,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.vectorized import VectorRound, int_bit_length
 from ..result import MISResult
 
@@ -431,19 +438,21 @@ def luby_mis(
     max_rounds: int = 100_000,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Run Luby's algorithm to completion and return the MIS with metrics.
 
-    ``channel="local"`` skips the CONGEST bit accounting (the baseline's
+    ``options`` names the engine, channel, node faults and instrument of
+    the run. The ``"local"`` channel skips the CONGEST bit accounting (the baseline's
     rounds/energy are unchanged); the radio ``"broadcast"`` channel is
     unsound for Luby (adjacent marked nodes never hear each other).
     """
     programs = {node: LubyProgram() for node in graph.nodes}
     network = Network(
         graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
-        channel=channel,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    metrics = network.run(max_rounds=max_rounds)
+    metrics = network.run(max_rounds=max_rounds, engine=options.engine)
     mis = {node for node, flag in network.outputs("in_mis").items() if flag}
     return MISResult(mis=mis, metrics=metrics, algorithm="luby")

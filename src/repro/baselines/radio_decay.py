@@ -48,8 +48,14 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
-from ..congest.channels import ChannelSpec
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    Network,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..result import MISResult
 
 _ACTIVE = 0
@@ -144,24 +150,28 @@ def radio_decay_mis(
     max_rounds: int = 500_000,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel: ChannelSpec = "broadcast",
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Run the decay radio MIS to completion (w.h.p. independent + maximal).
 
-    Defaults to the collision-detecting :class:`BroadcastChannel`; pass
-    ``channel="congest"``/``"local"`` to run the same program on reliable
-    point-to-point delivery (useful as an ablation of collision cost).
+    Runs on the collision-detecting :class:`BroadcastChannel` unless
+    ``options.channel`` names another; ``"congest"``/``"local"`` run the
+    same program on reliable point-to-point delivery (useful as an
+    ablation of collision cost).
     """
     programs = {node: RadioDecayProgram() for node in graph.nodes}
+    channel = options.channel
     network = Network(
         graph,
         programs,
         seed=seed,
         ledger=ledger,
         size_bound=size_bound,
-        channel=channel,
+        channel="broadcast" if channel is None else channel,
+        instrument=options.instrument,
+        faults=options.faults,
     )
-    metrics = network.run(max_rounds=max_rounds)
+    metrics = network.run(max_rounds=max_rounds, engine=options.engine)
     mis = {node for node, flag in network.outputs("in_mis").items() if flag}
     return MISResult(
         mis=mis,

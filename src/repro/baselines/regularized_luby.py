@@ -26,7 +26,14 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, Network, NodeProgram, StateField
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    Network,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.vectorized import VectorRound
 from ..graphs.properties import max_degree
 from ..result import MISResult
@@ -224,9 +231,10 @@ def regularized_luby_mis(
     max_rounds: int = 500_000,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
-    """Run the unmodified regularized Luby algorithm to completion."""
+    """Run the unmodified regularized Luby algorithm to completion under
+    ``options`` (engine, channel, node faults, instrument)."""
     n = size_bound if size_bound is not None else graph.number_of_nodes()
     delta = max_degree(graph)
     iterations = max(1, math.ceil(math.log2(max(2, delta))))
@@ -237,9 +245,10 @@ def regularized_luby_mis(
     }
     network = Network(
         graph, programs, seed=seed, ledger=ledger, size_bound=n,
-        channel=channel,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    network.run(max_rounds=max_rounds)
+    network.run(max_rounds=max_rounds, engine=options.engine)
     mis = {node for node, flag in network.outputs("in_mis").items() if flag}
     return MISResult(
         mis=mis,

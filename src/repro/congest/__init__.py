@@ -5,7 +5,9 @@ Public surface:
 * :class:`Network` — synchronous message-passing engine with sleeping.
 * :class:`Channel` and friends — the pluggable delivery layer
   (:class:`CongestChannel`, :class:`LocalChannel`, :class:`BroadcastChannel`,
-  the :data:`CHANNELS` registry, :func:`channel_scope`).
+  the :data:`CHANNELS` registry).
+* :class:`RunOptions` / :data:`DEFAULT_OPTIONS` — the engine, channel,
+  node faults and instrument of one algorithm run.
 * :class:`NodeProgram` / :class:`Context` — the node-program API.
 * :class:`EnergyLedger` / :class:`RunMetrics` — time/energy accounting.
 * :class:`Message`, :func:`payload_bits`, :func:`default_bit_budget` —
@@ -20,7 +22,6 @@ from .channels import (
     Channel,
     CongestChannel,
     LocalChannel,
-    channel_scope,
     make_channel,
 )
 from .errors import (
@@ -36,14 +37,11 @@ from .errors import (
 from .message import Message, default_bit_budget, payload_bits, payload_bits_cached
 from .metrics import EnergyLedger, RunMetrics
 from .network import (
+    DEFAULT_OPTIONS,
     ENGINE_MODES,
     Network,
-    engine_mode,
-    fault_scope,
-    get_engine_mode,
+    RunOptions,
     run_uniform_program,
-    scoped_fault_plan,
-    set_engine_mode,
 )
 from .program import Context, NodeProgram
 from .state import StateField
@@ -60,17 +58,15 @@ from .vectorized import (
 __all__ = [
     "BroadcastChannel",
     "CHANNELS",
+    "DEFAULT_OPTIONS",
     "ENGINE_MODES",
     "GraphArrays",
     "VectorRound",
     "VectorizationError",
     "StateField",
-    "engine_mode",
-    "get_engine_mode",
     "graph_arrays",
     "invalidate_graph_arrays",
     "reset_vector_stats",
-    "set_engine_mode",
     "vector_stats",
     "COLLISION",
     "COLLISION_MESSAGE",
@@ -89,14 +85,12 @@ __all__ = [
     "NodeProgram",
     "NotANeighborError",
     "RoundRecord",
+    "RunOptions",
     "RunMetrics",
     "SchedulingError",
     "SimulationLimitError",
-    "channel_scope",
     "default_bit_budget",
-    "fault_scope",
     "make_channel",
-    "scoped_fault_plan",
     "payload_bits",
     "payload_bits_cached",
     "run_uniform_program",

@@ -43,14 +43,13 @@ equivalence suites pin the shipped loops to them bit for bit.
 
 Channels are selected per :class:`~repro.congest.network.Network` via
 ``Network(..., channel=...)`` — a name from :data:`CHANNELS`, an instance,
-or a zero-argument factory — or ambiently via :func:`channel_scope`, which
-is how ``run_algorithm(channel=...)`` threads one choice through every
-network a multi-phase algorithm builds.
+or a zero-argument factory. ``run_algorithm(channel=...)`` puts one choice
+into the run's :class:`~repro.congest.network.RunOptions`, and the driver
+hands it to every network a multi-phase algorithm builds.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .errors import (
@@ -595,52 +594,14 @@ CHANNELS: Dict[str, Callable[[], Channel]] = {
 
 ChannelSpec = Union[str, Channel, Callable[[], Channel], None]
 
-# Ambient default, settable by channel_scope. A plain module global (not a
-# stack) would leak across nested algorithm calls; a list-as-stack keeps
-# nesting correct and stays trivially picklable-free.
-_SCOPE_STACK: List[ChannelSpec] = []
-
-
-@contextmanager
-def channel_scope(spec: ChannelSpec):
-    """Make ``spec`` the default channel for Networks built inside.
-
-    This is how ``run_algorithm(..., channel=...)`` reaches the several
-    internal :class:`Network` instances a multi-phase algorithm constructs
-    without threading a parameter through every phase helper: each
-    ``Network`` built without an explicit ``channel=`` resolves the scoped
-    spec instead of plain CONGEST.
-
-    ``channel_scope(None)`` is a no-op (it inherits any enclosing scope),
-    so wrappers can pass their own ``channel=None`` default through
-    unconditionally.
-    """
-    if spec is None:
-        yield
-        return
-    _SCOPE_STACK.append(spec)
-    try:
-        yield
-    finally:
-        _SCOPE_STACK.pop()
-
-
-def scoped_channel_spec() -> ChannelSpec:
-    """The innermost active :func:`channel_scope` spec, or ``None``."""
-    return _SCOPE_STACK[-1] if _SCOPE_STACK else None
-
-
 def make_channel(spec: ChannelSpec) -> Channel:
     """Resolve a channel spec (name, instance, factory, or None) to an
     instance ready to be bound to one network.
 
-    ``None`` defers to the innermost :func:`channel_scope`, falling back to
-    a fresh :class:`CongestChannel`.
+    ``None`` is a fresh :class:`CongestChannel`.
     """
     if spec is None:
-        spec = scoped_channel_spec()
-        if spec is None:
-            return CongestChannel()
+        return CongestChannel()
     if isinstance(spec, Channel):
         return spec
     if isinstance(spec, str):

@@ -48,10 +48,11 @@ rounds:
   rounds of the paper's Phase I kernels alike (the kernel builds each
   round's awake mask from the wake calendar).
 
-:func:`engine_mode` (or ``Network.run(engine=...)``) selects between
-``auto``/``fast``/``vectorized``. With no channel fault active, the paths
-are bit-identical in outputs, metrics, and ledger state to each other and
-to the naive one-``step``-per-round loop, which survives as a test oracle
+``Network.run(engine=...)`` — for a whole algorithm run, the ``engine``
+of its :class:`RunOptions` — selects between ``auto``/``fast``/
+``vectorized``. With no channel fault active, the paths are
+bit-identical in outputs, metrics, and ledger state to each other and to
+the naive one-``step``-per-round loop, which survives as a test oracle
 (``tests/oracles.py``; see ``tests/test_engine_equivalence.py``). Under
 an active lossy channel the vectorized path draws its drops per CSR edge
 slot, so it sees a different fault pattern than the scalar paths; an
@@ -66,8 +67,8 @@ without them never vectorizes.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -82,7 +83,7 @@ from .state import allocate_columns, bind_state
 from .streams import NodeStreams
 from .vectorized import GraphArrays
 
-#: Engine paths selectable per run or globally (see :func:`engine_mode`):
+#: Engine paths selectable per run (``Network.run(engine=...)``):
 #:
 #: * ``"auto"`` (default) — the vectorized round path, for always-on and
 #:   wake-scheduled rounds alike, when the program declares the capability
@@ -94,18 +95,13 @@ from .vectorized import GraphArrays
 #:   falling back when the vectorized path cannot engage at all.
 ENGINE_MODES = ("auto", "fast", "vectorized")
 
-# Module-level switch so whole algorithm drivers (which call ``network.run()``
-# internally) can be forced onto one engine path for equivalence testing
-# without threading a flag through every call site.
-_ENGINE_MODE = "auto"
-
 #: Below this node count the auto mode skips vectorization: per-round numpy
 #: dispatch overhead beats python loops only once arrays have some width.
 #: Forced ``"vectorized"`` mode ignores the floor.
 VECTOR_AUTO_MIN_NODES = 64
 
 
-def _check_engine_mode(mode: str) -> str:
+def _check_engine(mode: str) -> str:
     if mode not in ENGINE_MODES:
         raise ValueError(
             f"unknown engine mode {mode!r}; have {list(ENGINE_MODES)}"
@@ -113,50 +109,33 @@ def _check_engine_mode(mode: str) -> str:
     return mode
 
 
-def set_engine_mode(mode: str) -> None:
-    """Globally select the engine path used when ``run()`` gets no flags."""
-    global _ENGINE_MODE
-    _ENGINE_MODE = _check_engine_mode(mode)
+@dataclass(frozen=True)
+class RunOptions:
+    """How one run executes: the engine path, and the channel, node-fault
+    plan and instrument of every network the run builds.
+
+    A driver hands ``channel``, ``faults`` and ``instrument`` to each
+    :class:`Network` it builds and ``engine`` to that network's
+    :meth:`Network.run` / :meth:`Network.run_rounds`, so a multi-phase
+    algorithm runs all its phases in one model under one observer.
+    ``None`` fields mean the driver's own channel (CONGEST, or the radio
+    medium for ``radio_decay``), no node faults and no instrument.
+    """
+
+    engine: str = "auto"
+    channel: ChannelSpec = None
+    #: A :class:`repro.faults.FaultPlan`, duck-typed (``empty`` and
+    #: ``bind(network)``) so the engine does not import ``repro.faults``,
+    #: which builds on this module.
+    faults: Any = None
+    instrument: Any = None
+
+    def __post_init__(self):
+        _check_engine(self.engine)
 
 
-def get_engine_mode() -> str:
-    return _ENGINE_MODE
-
-
-@contextmanager
-def engine_mode(mode: str):
-    """Context manager: run every ``Network.run`` inside on one engine path."""
-    global _ENGINE_MODE
-    previous = _ENGINE_MODE
-    _ENGINE_MODE = _check_engine_mode(mode)
-    try:
-        yield
-    finally:
-        _ENGINE_MODE = previous
-
-
-# Ambient node-fault plans, mirroring ``channel_scope``: multi-phase
-# algorithm drivers build several sequential Networks internally, and a
-# fault timeline must reach all of them without threading a parameter
-# through every constructor call.  The plan object is duck-typed (anything
-# with ``empty`` and ``bind(network)``) so the engine does not import
-# ``repro.faults``, which builds on top of this module.
-_FAULT_SCOPE_STACK: List = []
-
-
-@contextmanager
-def fault_scope(plan):
-    """Make ``plan`` the default ``faults=`` for Networks built inside."""
-    _FAULT_SCOPE_STACK.append(plan)
-    try:
-        yield plan
-    finally:
-        _FAULT_SCOPE_STACK.pop()
-
-
-def scoped_fault_plan():
-    """The innermost active :func:`fault_scope` plan, or ``None``."""
-    return _FAULT_SCOPE_STACK[-1] if _FAULT_SCOPE_STACK else None
+#: The options of a plain run: auto engine, CONGEST, no faults, unobserved.
+DEFAULT_OPTIONS = RunOptions()
 
 
 class Network:
@@ -185,20 +164,18 @@ class Network:
         Delivery model: a name from :data:`repro.congest.channels.CHANNELS`
         (``"congest"``, ``"local"``, ``"broadcast"``, ...), a
         :class:`~repro.congest.channels.Channel` instance, or a factory.
-        Defaults to the innermost :func:`~repro.congest.channels
-        .channel_scope`, falling back to CONGEST.
+        Defaults to CONGEST.
     instrument:
         Observer for run/round/phase events (see :mod:`repro.obs`).
-        Defaults to the innermost :func:`~repro.obs.instrument_scope`,
-        falling back to the shared null instrument. Whether the network is
+        Defaults to the shared null instrument. Whether the network is
         observed is decided once here, so the disabled path costs the hot
         loop only a couple of ``is not None`` checks per round.
     faults:
         Optional node-fault timeline (a :class:`repro.faults.FaultPlan`)
         injected through the step loop: crashes halt their node at the
         scheduled round, stragglers are forced asleep for their duration.
-        Defaults to the innermost :func:`fault_scope` plan. An empty plan
-        costs the step loop nothing (no injector is installed at all).
+        An empty plan costs the step loop nothing (no injector is
+        installed at all).
     """
 
     def __init__(
@@ -281,8 +258,6 @@ class Network:
         self._started = False
         self.channel = make_channel(channel)
         self.channel.bind(self)
-        if faults is None:
-            faults = scoped_fault_plan()
         self._fault_injector = faults.bind(self) if faults is not None else None
         self.instrument = resolve_instrument(instrument)
         self._observed = self.instrument is not NULL_INSTRUMENT
@@ -686,11 +661,6 @@ class Network:
             )
         return runner
 
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        if engine is not None:
-            return _check_engine_mode(engine)
-        return _ENGINE_MODE
-
     def _try_vector_step(self, runner) -> bool:
         """Take one vectorized round if *this* round has someone awake.
 
@@ -702,11 +672,10 @@ class Network:
         (:meth:`VectorRound.pop_scheduled_awake`); the other kernels only
         ever see an empty calendar, because their programs never call
         ``use_wake_schedule`` and node-fault plans keep the runner off.
-        Shared by :meth:`run` and :meth:`run_rounds` so the engagement
-        gate cannot diverge between the two loops; flushing back to
-        scalar state is the callers' business (:meth:`_flush_runner`,
-        immediately before a scalar ``step``), so a runner is not thrashed
-        through load/flush cycles at every wake gap.
+        Flushing back to scalar state is the caller's business
+        (:meth:`_flush_runner`, immediately before a scalar ``step``), so
+        a runner is not thrashed through load/flush cycles at every wake
+        gap.
         """
         if runner is None:
             return False
@@ -730,7 +699,7 @@ class Network:
         self,
         max_rounds: int = 1_000_000,
         *,
-        engine: Optional[str] = None,
+        engine: str = "auto",
     ) -> RunMetrics:
         """Run until no node will ever wake again (or ``max_rounds``).
 
@@ -738,67 +707,37 @@ class Network:
         O(1) per stretch; every round with someone awake — always-on or
         wake-scheduled — of capability-declaring programs runs through the
         vectorized round path (``engine="vectorized"`` to require it,
-        ``engine="fast"`` to forbid it; default ``"auto"``, or the
-        module-level :func:`engine_mode` scope), every other round through
-        the cached scalar :meth:`step`. All paths are bit-identical in
-        outputs, metrics, and ledger state when no channel fault is active
-        (``tests/test_engine_equivalence.py``).
+        ``engine="fast"`` to forbid it; default ``"auto"``), every other
+        round through the cached scalar :meth:`step`. All paths are
+        bit-identical in outputs, metrics, and ledger state when no
+        channel fault is active (``tests/test_engine_equivalence.py``).
         """
-        if not self._started:
-            self.start()
-        mode = self._resolve_engine(engine)
-        runner = None
-        if mode in ("auto", "vectorized"):
-            runner = self._vector_runner(force=mode == "vectorized")
-        try:
-            while self.has_pending_work():
-                if self.round_index + 1 >= max_rounds:
-                    raise SimulationLimitError(
-                        f"simulation exceeded {max_rounds} rounds"
-                    )
-                if self._try_vector_step(runner):
-                    continue
-                if self._always_on:
-                    self._flush_runner(runner)
-                    self.step()
-                    continue
-                next_round = self._next_event_round()
-                if next_round >= max_rounds:
-                    # The naive loop would idle up to the limit and raise;
-                    # advance time the same way before raising.
-                    self._skip_idle_to(max_rounds - 1)
-                    raise SimulationLimitError(
-                        f"simulation exceeded {max_rounds} rounds"
-                    )
-                self._skip_idle_to(next_round - 1)
-                if self._try_vector_step(runner):
-                    continue
-                self._flush_runner(runner)
-                self.step()
-        finally:
-            if runner is not None:
-                runner.flush()
-        metrics = self.metrics()
-        if self._observed:
-            self.instrument.on_run_end(self, metrics)
-        return metrics
+        return self._run_loop(engine, max_rounds - 1, until_quiet=True)
 
-    def run_rounds(
-        self,
-        rounds: int,
-        *,
-        engine: Optional[str] = None,
-    ) -> RunMetrics:
+    def run_rounds(self, rounds: int, *, engine: str = "auto") -> RunMetrics:
         """Run exactly ``rounds`` rounds (idle rounds still advance time)."""
+        return self._run_loop(
+            engine, self.round_index + rounds, until_quiet=False
+        )
+
+    def _run_loop(
+        self, engine: str, last_round: int, *, until_quiet: bool
+    ) -> RunMetrics:
+        """The round loop of :meth:`run` (``until_quiet``: stop once no
+        node will wake again, and raise past ``last_round``) and of
+        :meth:`run_rounds` (stop at ``last_round``)."""
+        mode = _check_engine(engine)
         if not self._started:
             self.start()
-        mode = self._resolve_engine(engine)
         runner = None
-        if mode in ("auto", "vectorized"):
+        if mode != "fast":
             runner = self._vector_runner(force=mode == "vectorized")
-        end = self.round_index + rounds
+        stopped_at_limit = False
         try:
-            while self.round_index < end:
+            while not until_quiet or self.has_pending_work():
+                if self.round_index >= last_round:
+                    stopped_at_limit = True
+                    break
                 if self._try_vector_step(runner):
                     continue
                 if self._always_on:
@@ -806,8 +745,11 @@ class Network:
                     self.step()
                     continue
                 next_round = self._next_event_round()
-                if next_round is None or next_round > end:
-                    self._skip_idle_to(end)
+                if next_round is None or next_round > last_round:
+                    # The naive loop idles up to the stop round; advance
+                    # time the same way.
+                    self._skip_idle_to(last_round)
+                    stopped_at_limit = True
                     break
                 self._skip_idle_to(next_round - 1)
                 if self._try_vector_step(runner):
@@ -817,6 +759,10 @@ class Network:
         finally:
             if runner is not None:
                 runner.flush()
+        if until_quiet and stopped_at_limit:
+            raise SimulationLimitError(
+                f"simulation exceeded {last_round + 1} rounds"
+            )
         metrics = self.metrics()
         if self._observed:
             self.instrument.on_run_end(self, metrics)

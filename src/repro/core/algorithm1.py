@@ -23,7 +23,7 @@ from typing import Optional
 
 import networkx as nx
 
-from ..congest import EnergyLedger
+from ..congest import DEFAULT_OPTIONS, EnergyLedger, RunOptions
 from ..congest.vectorized import GraphArrays
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
@@ -38,7 +38,7 @@ def algorithm1(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Compute an MIS of ``graph`` with Algorithm 1 of the paper.
 
@@ -57,9 +57,10 @@ def algorithm1(
         The ``n`` the round/energy schedules scale with; defaults to the
         graph's size. Pass the deployment size when running on a subgraph
         (e.g. dynamic repair regions) so schedules stay network-scaled.
-    channel:
-        Channel spec threaded (via :func:`repro.congest.channel_scope`)
-        through every network the three phases build; default CONGEST.
+    options:
+        The engine, channel, node faults and instrument of every network
+        the three phases build (:class:`repro.congest.RunOptions`);
+        default auto engine on CONGEST, unobserved.
 
     Returns
     -------
@@ -68,7 +69,7 @@ def algorithm1(
         carries the total rounds and the per-phase breakdown.
     """
     return three_phase_mis(
-        graph, seed, config, ledger, size_bound, channel,
+        graph, seed, config, ledger, size_bound, options,
         name="algorithm1", phase1_runner=run_phase1_alg1,
         salts=(1, 2, 3), variant="alg1",
     )

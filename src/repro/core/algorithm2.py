@@ -15,7 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
-from ..congest import EnergyLedger
+from ..congest import DEFAULT_OPTIONS, EnergyLedger, RunOptions
 from ..congest.vectorized import GraphArrays
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig
@@ -30,7 +30,7 @@ def algorithm2(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Compute an MIS of ``graph`` with Algorithm 2 of the paper.
 
@@ -41,7 +41,7 @@ def algorithm2(
     (``log² log n`` vs ``log log n``) energy.
     """
     return three_phase_mis(
-        graph, seed, config, ledger, size_bound, channel,
+        graph, seed, config, ledger, size_bound, options,
         name="algorithm2", phase1_runner=run_phase1_alg2,
         salts=(101, 102, 103), variant="alg2",
     )

@@ -38,7 +38,13 @@ from typing import Iterable, Optional
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, NodeProgram, StateField, channel_scope
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.program import (
     population_groups,
     set_outputs,
@@ -410,6 +416,7 @@ def run_lemma42(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """Lemma 4.2: reduce the polylog-degree graph to polyloglog degree,
     shedding a small failed set ``F`` (reported in ``details['failed']``).
@@ -436,6 +443,7 @@ def run_lemma42(
     result, _ = run_network_phase(
         graph, programs, iterations * (2 * rounds_per_iteration + 3),
         seed=seed, ledger=ledger, size_bound=n, set_aside="failed",
+        options=options,
     )
     reduced = set(result.residual.nodes)
     result.details = {
@@ -457,6 +465,7 @@ def run_sparsify(
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
     failed: Iterable[int] = (),
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """Lemma 4.5 substitute: decide most nodes of a low-degree graph.
 
@@ -490,7 +499,7 @@ def run_sparsify(
     result, _ = run_network_phase(
         graph, programs, 3 * iterations * rounds_per_iteration, seed=seed,
         ledger=ledger, size_bound=n, handoff_round=True, bystanders=failed,
-        hand_off=False,
+        hand_off=False, options=options,
     )
     result.details = {
         "iterations": iterations,
@@ -511,10 +520,11 @@ def _compose_average_energy(
     phase1_runner,
     name: str,
     variant: str,
-    size_bound: Optional[int] = None,
+    size_bound: Optional[int],
+    options: RunOptions,
 ) -> MISResult:
     n, ledger = driver_inputs(graph, name, ledger, size_bound)
-    common = dict(config=config, ledger=ledger, size_bound=n)
+    common = dict(config=config, ledger=ledger, size_bound=n, options=options)
 
     phase1 = observed_phase(
         "phase1", phase1_runner, graph, seed=_derive_seed(seed, 11), **common
@@ -540,10 +550,13 @@ def _compose_average_energy(
         if any(u in sparsified.joined for u in residual.neighbors(node))
     }
     leftover = (failed - dominated_failed) | sparsified.remaining
-    phase2 = observed_phase("phase2", lambda: run_phase2(
-        induced_subgraph(residual, leftover),
+    phase2 = observed_phase(
+        "phase2",
+        lambda **kwargs: run_phase2(
+            induced_subgraph(residual, leftover), **kwargs
+        ),
         seed=_derive_seed(seed, 14), **common,
-    ))
+    )
     phase3 = observed_phase(
         "phase3", run_phase3, phase2.components,
         seed=_derive_seed(seed, 15), variant=variant, **common,
@@ -572,19 +585,19 @@ def algorithm1_constant_average_energy(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Algorithm 1 augmented per Section 4: O(1) node-averaged energy while
     keeping the Theorem 1.1 worst-case time/energy bounds.
 
     ``graph`` is a networkx graph or a
-    :class:`~repro.congest.vectorized.GraphArrays`.
+    :class:`~repro.congest.vectorized.GraphArrays`; every phase's networks
+    run under ``options``.
     """
-    with channel_scope(channel):
-        return _compose_average_energy(
-            graph, seed, config, ledger, run_phase1_alg1,
-            "algorithm1_avg_energy", "alg1", size_bound=size_bound,
-        )
+    return _compose_average_energy(
+        graph, seed, config, ledger, run_phase1_alg1,
+        "algorithm1_avg_energy", "alg1", size_bound, options,
+    )
 
 
 def algorithm2_constant_average_energy(
@@ -594,12 +607,12 @@ def algorithm2_constant_average_energy(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
-    channel=None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> MISResult:
     """Algorithm 2 augmented per Section 4 (``graph``: a networkx graph or
-    a :class:`~repro.congest.vectorized.GraphArrays`)."""
-    with channel_scope(channel):
-        return _compose_average_energy(
-            graph, seed, config, ledger, run_phase1_alg2,
-            "algorithm2_avg_energy", "alg2", size_bound=size_bound,
-        )
+    a :class:`~repro.congest.vectorized.GraphArrays`), every phase's
+    networks under ``options``."""
+    return _compose_average_energy(
+        graph, seed, config, ledger, run_phase1_alg2,
+        "algorithm2_avg_energy", "alg2", size_bound, options,
+    )

@@ -41,7 +41,13 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, NodeProgram, StateField
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.program import (
     population_groups,
     set_outputs,
@@ -288,6 +294,7 @@ def run_phase1_alg1(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """Run Lemma 2.1's phase on ``graph``; see :class:`PhaseResult`.
 
@@ -322,7 +329,7 @@ def run_phase1_alg1(
     }
     result, network = run_network_phase(
         graph, programs, 3 * total_rounds, seed=seed, ledger=ledger,
-        size_bound=n, handoff_round=True,
+        size_bound=n, handoff_round=True, options=options,
     )
     result.details = {
         "iterations": iterations,

@@ -44,7 +44,13 @@ from typing import Optional, Set
 import networkx as nx
 import numpy as np
 
-from ..congest import EnergyLedger, NodeProgram, StateField
+from ..congest import (
+    DEFAULT_OPTIONS,
+    EnergyLedger,
+    NodeProgram,
+    RunOptions,
+    StateField,
+)
 from ..congest.program import (
     population_groups,
     set_outputs,
@@ -561,6 +567,7 @@ def run_lemma31_iteration(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """One Lemma 3.1 iteration on ``graph`` with degree parameter ``delta``."""
     n = size_bound if size_bound is not None else graph.number_of_nodes()
@@ -570,7 +577,7 @@ def run_lemma31_iteration(
     }
     result, network = run_network_phase(
         graph, programs, 4 * rounds + 4, seed=seed, ledger=ledger,
-        size_bound=n,
+        size_bound=n, options=options,
     )
     result.details = {
         "delta": delta,
@@ -588,6 +595,7 @@ def run_phase1_alg2(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """Corollary 3.2: iterate Lemma 3.1 until the degree falls to the floor.
 
@@ -619,6 +627,7 @@ def run_phase1_alg2(
             config=config,
             ledger=ledger,
             size_bound=n,
+            options=options,
         )
         joined |= step.joined
         dominated |= step.dominated

@@ -30,7 +30,7 @@ import networkx as nx
 
 from ..baselines.ghaffari import ghaffari_shatter
 from ..cluster import Choreography, ClusterState, RootedTree, state_from_trees
-from ..congest import EnergyLedger
+from ..congest import DEFAULT_OPTIONS, EnergyLedger, RunOptions
 from ..congest.vectorized import GraphArrays
 from ..graphs.properties import induced_subgraph, max_degree
 from .config import DEFAULT_CONFIG, AlgorithmConfig
@@ -124,6 +124,7 @@ def run_phase2(
     config: AlgorithmConfig = DEFAULT_CONFIG,
     ledger: Optional[EnergyLedger] = None,
     size_bound: Optional[int] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> Phase2Result:
     """Run Lemma 2.6's phase on the residual graph.
 
@@ -140,7 +141,8 @@ def run_phase2(
     delta2 = max_degree(graph)
     iterations = config.phase2_shatter_iterations(n, delta2)
     joined, undecided, network = ghaffari_shatter(
-        graph, iterations, seed=seed, ledger=ledger, size_bound=n
+        graph, iterations, seed=seed, ledger=ledger, size_bound=n,
+        options=options,
     )
     dominated = set(graph.nodes) - joined - undecided
     shatter_rounds = network.metrics().rounds

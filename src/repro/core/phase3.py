@@ -30,7 +30,7 @@ import numpy as np
 
 from ..baselines.ghaffari import ACTIVE, JOINED, GhaffariProgram
 from ..cluster import Choreography, ClusterState, merge_component_clusters
-from ..congest import EnergyLedger, Network
+from ..congest import DEFAULT_OPTIONS, EnergyLedger, Network, RunOptions
 from ..congest.metrics import RunMetrics
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase_result import PhaseResult, phase_metrics
@@ -47,6 +47,7 @@ def _run_executions(
     seed: int,
     ledger: EnergyLedger,
     size_bound: int,
+    options: RunOptions,
 ) -> Tuple[Dict[int, GhaffariProgram], RunMetrics]:
     """One block of parallel Ghaffari executions on a component; returns
     the programs and the metrics of the network that ran them."""
@@ -55,9 +56,13 @@ def _run_executions(
         for node in state.graph.nodes
     }
     network = Network(
-        state.graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
+        state.graph, programs, seed=seed, ledger=ledger,
+        size_bound=size_bound, channel=options.channel,
+        instrument=options.instrument, faults=options.faults,
     )
-    return programs, network.run(max_rounds=10 * iterations + 16)
+    return programs, network.run(
+        max_rounds=10 * iterations + 16, engine=options.engine
+    )
 
 
 def _successful_executions(
@@ -79,6 +84,7 @@ def run_phase3(
     ledger: Optional[EnergyLedger] = None,
     size_bound: int,
     variant: str = "alg1",
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> PhaseResult:
     """Run Lemma 2.7 on every component (in parallel; rounds = the maximum).
 
@@ -166,7 +172,8 @@ def run_phase3(
         for attempt in range(config.phase3_retries + 1):
             block_seed = _derive_seed(seed, component_id, attempt)
             programs, run = _run_executions(
-                state, executions, iterations, block_seed, ledger, size_bound
+                state, executions, iterations, block_seed, ledger, size_bound,
+                options,
             )
             runs.append(run)
             engine_rounds += run.rounds

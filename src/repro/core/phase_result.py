@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from ..congest import EnergyLedger, Network
+from ..congest import DEFAULT_OPTIONS, EnergyLedger, Network, RunOptions
 from ..congest.metrics import RunMetrics
 from ..congest.vectorized import GraphArrays
 from ..graphs.properties import induced_subgraph
@@ -124,14 +124,15 @@ def run_network_phase(
     bystanders: Iterable[int] = (),
     hand_off: bool = True,
     set_aside: Optional[str] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> Tuple[PhaseResult, Network]:
     """Run one network-backed phase on the shared ``ledger`` (a fresh one
     over ``graph`` when ``None``).
 
     Builds the :class:`~repro.congest.Network` of ``programs`` on
-    ``graph``, runs exactly ``rounds`` engine rounds and reads the
-    partition off the ``joined`` outputs: a joiner's neighbors are
-    dominated, every other node remains. ``handoff_round`` charges (and
+    ``graph`` under ``options``, runs exactly ``rounds`` engine rounds
+    and reads the partition off the ``joined`` outputs: a joiner's
+    neighbors are dominated, every other node remains. ``handoff_round`` charges (and
     counts) one trailing round in which every node wakes to exchange its
     status — the hand-off the paper performs at the start of the next,
     all-awake phase; ``bystanders`` (nodes outside ``graph``) wake for it
@@ -148,9 +149,11 @@ def run_network_phase(
         ledger = EnergyLedger(graph.nodes)
     before = ledger.snapshot()
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
+        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    network.run_rounds(rounds)
+    network.run_rounds(rounds, engine=options.engine)
     scope = list(graph.nodes)
     if handoff_round:
         scope.extend(bystanders)

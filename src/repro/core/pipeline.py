@@ -14,9 +14,9 @@ import operator
 from functools import reduce
 from typing import Any, Dict, Optional, Sequence
 
-from ..congest import EnergyLedger, channel_scope
+from ..congest import EnergyLedger, RunOptions
 from ..congest.metrics import RunMetrics
-from ..obs import current_instrument, section_scope
+from ..obs import resolve_instrument, section_scope
 from ..result import MISResult
 from .config import AlgorithmConfig
 from .phase2 import run_phase2
@@ -34,16 +34,17 @@ def driver_inputs(graph, name: str, ledger: Optional[EnergyLedger],
     return n, ledger if ledger is not None else EnergyLedger(graph.nodes)
 
 
-def observed_phase(name: str, runner, *args, **kwargs):
-    """Run ``runner(*args, **kwargs)`` as the phase ``name``.
+def observed_phase(name: str, runner, *args, options: RunOptions, **kwargs):
+    """Run ``runner(*args, options=options, **kwargs)`` as the phase
+    ``name``, observed by ``options.instrument``.
 
     Phase names match the keys of :func:`combine_phases`, so the event
     stream, the profile tree and ``metrics.phases`` line up.
     """
-    instrument = current_instrument()
+    instrument = resolve_instrument(options.instrument)
     instrument.on_phase_start(name)
     with section_scope(instrument.profiler, name):
-        result = runner(*args, **kwargs)
+        result = runner(*args, options=options, **kwargs)
     instrument.on_phase_end(name, result.metrics)
     return result
 
@@ -70,7 +71,7 @@ def three_phase_mis(
     config: AlgorithmConfig,
     ledger: Optional[EnergyLedger],
     size_bound: Optional[int],
-    channel,
+    options: RunOptions,
     *,
     name: str,
     phase1_runner,
@@ -79,22 +80,22 @@ def three_phase_mis(
 ) -> MISResult:
     """Phase I (``phase1_runner``) → Phase II → Phase III (``variant``) on
     one shared ledger; phase ``k`` runs with seed
-    ``_derive_seed(seed, salts[k - 1])``."""
+    ``_derive_seed(seed, salts[k - 1])``, every network under
+    ``options``."""
     n, ledger = driver_inputs(graph, name, ledger, size_bound)
-    common = dict(config=config, ledger=ledger, size_bound=n)
-    with channel_scope(channel):
-        phase1 = observed_phase(
-            "phase1", phase1_runner, graph,
-            seed=_derive_seed(seed, salts[0]), **common,
-        )
-        phase2 = observed_phase(
-            "phase2", run_phase2, phase1.residual,
-            seed=_derive_seed(seed, salts[1]), **common,
-        )
-        phase3 = observed_phase(
-            "phase3", run_phase3, phase2.components,
-            seed=_derive_seed(seed, salts[2]), variant=variant, **common,
-        )
+    common = dict(config=config, ledger=ledger, size_bound=n, options=options)
+    phase1 = observed_phase(
+        "phase1", phase1_runner, graph,
+        seed=_derive_seed(seed, salts[0]), **common,
+    )
+    phase2 = observed_phase(
+        "phase2", run_phase2, phase1.residual,
+        seed=_derive_seed(seed, salts[1]), **common,
+    )
+    phase3 = observed_phase(
+        "phase3", run_phase3, phase2.components,
+        seed=_derive_seed(seed, salts[2]), variant=variant, **common,
+    )
     phases = {"phase1": phase1, "phase2": phase2, "phase3": phase3}
     details = {key: phase.details for key, phase in phases.items()}
     details["undecided"] = sorted(phase3.remaining)

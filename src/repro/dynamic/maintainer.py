@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set
 
 import networkx as nx
 
+from ..congest import DEFAULT_OPTIONS, RunOptions
 from ..congest.metrics import EnergyLedger
 from ..result import MISResult
 from .events import NODE_ADD, NODE_REMOVE, GraphEvent, apply_event
@@ -98,6 +99,10 @@ class MISMaintainer:
     algorithm_kwargs:
         Extra keyword arguments forwarded to every algorithm invocation
         (e.g. ``config=AlgorithmConfig(...)``).
+    options:
+        The :class:`~repro.congest.RunOptions` of every election and
+        repair, for algorithms that take ``options=`` (all registered
+        drivers do).
     """
 
     def __init__(
@@ -109,6 +114,7 @@ class MISMaintainer:
         seed: int = 0,
         ledger: Optional[EnergyLedger] = None,
         algorithm_kwargs: Optional[Dict[str, Any]] = None,
+        options: RunOptions = DEFAULT_OPTIONS,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -124,6 +130,8 @@ class MISMaintainer:
         self.ledger.ensure_nodes(self.graph.nodes)
         self.algorithm_kwargs = dict(algorithm_kwargs or {})
         self._accepts_size_bound = _accepts_kwarg(self._algorithm, "size_bound")
+        self.options = options
+        self._accepts_options = _accepts_kwarg(self._algorithm, "options")
         self.mis: Set[int] = set()
         self.epoch = 0
         self.total_rounds = 0
@@ -249,6 +257,8 @@ class MISMaintainer:
     def _run_algorithm(self, graph: nx.Graph, epoch: int) -> MISResult:
         kwargs: Dict[str, Any] = dict(self.algorithm_kwargs)
         kwargs.setdefault("ledger", self.ledger)
+        if self._accepts_options:
+            kwargs.setdefault("options", self.options)
         if self._accepts_size_bound:
             # Round/energy schedules should scale with the *deployment* size,
             # not the (much smaller) repair region, as a real network would.

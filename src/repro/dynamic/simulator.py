@@ -19,8 +19,9 @@ from typing import Any, Dict, List, Optional, Sequence
 import networkx as nx
 
 from ..analysis import verify_mis
+from ..congest import DEFAULT_OPTIONS, RunOptions
 from ..congest.metrics import EnergyLedger
-from ..obs import current_instrument
+from ..obs import resolve_instrument
 from .events import GraphEvent
 from .maintainer import INCREMENTAL, MISMaintainer, RepairReport
 
@@ -123,6 +124,7 @@ def run_dynamic(
     verify_every: int = 1,
     ledger: Optional[EnergyLedger] = None,
     algorithm_kwargs: Optional[Dict[str, Any]] = None,
+    options: RunOptions = DEFAULT_OPTIONS,
 ) -> DynamicRunResult:
     """Maintain an MIS of ``graph`` across ``timeline`` and account every epoch.
 
@@ -138,9 +140,18 @@ def run_dynamic(
     always on the first and last. Skipped epochs are marked
     ``verified=False`` and count as valid; the default of 1 keeps the
     original verify-everything behavior.
+
+    ``options`` runs every election and repair (engine, channel, node
+    faults, instrument); its instrument also sees each epoch. A registered
+    algorithm is refused on a radio channel it is unsound on, as in
+    :func:`repro.harness.run_algorithm`.
     """
     if verify_every < 1:
         raise ValueError(f"verify_every must be >= 1, got {verify_every}")
+    if isinstance(algorithm, str) and options.channel is not None:
+        from ..harness.runner import _check_radio_safety  # avoids a cycle
+
+        _check_radio_safety(algorithm, options.channel)
     maintainer = MISMaintainer(
         graph,
         algorithm,
@@ -148,7 +159,9 @@ def run_dynamic(
         seed=seed,
         ledger=ledger,
         algorithm_kwargs=algorithm_kwargs,
+        options=options,
     )
+    instrument = resolve_instrument(options.instrument)
     result = DynamicRunResult(
         algorithm=maintainer.algorithm_name,
         strategy=maintainer.strategy,
@@ -156,11 +169,12 @@ def run_dynamic(
     )
     total_epochs = len(timeline) + 1
     _record(result, maintainer, maintainer.initial, check_invariant,
-            verify=True)
+            instrument, verify=True)
     for index, batch in enumerate(timeline, start=1):
         report = maintainer.apply_epoch(batch)
         verify = index % verify_every == 0 or index == total_epochs - 1
-        _record(result, maintainer, report, check_invariant, verify=verify)
+        _record(result, maintainer, report, check_invariant, instrument,
+                verify=verify)
     result.ledger_snapshot = maintainer.ledger.snapshot()
     return result
 
@@ -170,6 +184,7 @@ def _record(
     maintainer: MISMaintainer,
     report: RepairReport,
     check_invariant: bool,
+    instrument,
     verify: bool = True,
 ) -> None:
     graph = maintainer.graph
@@ -208,4 +223,4 @@ def _record(
             verified=verify,
         )
     )
-    current_instrument().on_epoch(result.epochs[-1])
+    instrument.on_epoch(result.epochs[-1])

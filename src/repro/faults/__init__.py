@@ -15,8 +15,8 @@ out, in three layers:
 * **Node faults** (:mod:`repro.faults.plan`) — a seeded
   :class:`FaultPlan` timeline of crash / crash-recover / straggler
   events, injected through the network step loop
-  (``Network(faults=plan)``, :func:`~repro.congest.network.fault_scope`,
-  ``run_algorithm(faults=plan)``).
+  (``Network(faults=plan)``, or ``run_algorithm(faults=plan)`` for every
+  network of a run).
 * **Self-healing** (:mod:`repro.faults.healing`) — :func:`heal_mis`
   repairs a damaged MIS candidate in place, and :func:`run_self_healing`
   drives crash/recover plans through the dynamic

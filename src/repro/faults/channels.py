@@ -96,9 +96,7 @@ class FaultChannel(Channel):
 
     #: Short grammar label; also the head keyword in channel-spec strings.
     kind = "fault"
-    #: Default inner channel spec when ``inner`` is None.  Deliberately NOT
-    #: the ambient scoped spec: a scope typically holds the *wrapped* spec
-    #: itself, and resolving it here would recurse.
+    #: Default inner channel spec when ``inner`` is None.
     default_inner = "congest"
 
     def __init__(self, inner: Any = None, *, seed: int = 0):

@@ -7,8 +7,9 @@ network step loop) or by epoch (for the self-healing driver in
 :meth:`FaultPlan.random` from a seeded RNG that is independent of the
 algorithm's randomness.
 
-In-run semantics (``Network(faults=plan)`` or ambient
-:func:`repro.congest.network.fault_scope`):
+In-run semantics (``Network(faults=plan)``, or ``run_algorithm(faults=plan)``,
+which hands the plan to every network of the run through its
+:class:`~repro.congest.network.RunOptions`):
 
 * ``crash`` — the node halts at the start of the given round: it never
   wakes again, sends nothing, and charges no further energy.  This is the
@@ -187,7 +188,7 @@ class _NetworkFaultInjector:
                 )
             # Events naming nodes absent from THIS network are skipped,
             # not rejected: multi-phase algorithms build sub-networks over
-            # node subsets under the same ambient fault scope, and a
+            # node subsets with the same run's fault plan, and a
             # crashed node must simply not strike where it does not exist.
             # (run_algorithm validates the plan against the full graph.)
             if event.node in known:

@@ -148,23 +148,17 @@ def _validate_backoff(backoff: float) -> float:
     return backoff
 
 
-def _observability_worker_init(
-    telemetry_path: Optional[str],
-    inner: Optional[Callable[..., None]],
-    innerargs: tuple,
-) -> None:
-    """Worker bootstrap: re-install ambient observability state.
+def _observability_worker_init(telemetry_path: Optional[str]) -> None:
+    """Worker bootstrap: re-install the parent's telemetry sink.
 
-    Spawn-started workers inherit no module globals, so the parent's
-    telemetry sink path must be re-installed before the caller's own
-    initializer (engine-mode propagation etc.) runs — this is what makes
-    streaming JSONL emission work transparently under process pools.
+    Spawn-started workers inherit no module globals, so the sink path must
+    be re-installed in each — this is what makes streaming JSONL emission
+    work transparently under process pools. Everything a simulation
+    depends on travels in the task tuple itself.
     """
     from ..obs.telemetry import set_telemetry_path
 
     set_telemetry_path(telemetry_path)
-    if inner is not None:
-        inner(*innerargs)
 
 
 def set_default_jobs(n_jobs: Optional[int]) -> None:
@@ -283,8 +277,6 @@ def parallel_map(
     *,
     n_jobs: Optional[int] = None,
     chunksize: int = 1,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
     retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
     backoff: Optional[float] = None,
@@ -294,11 +286,10 @@ def parallel_map(
     """Apply ``fn`` to every task, in order, optionally across processes.
 
     ``fn`` and the tasks must be picklable (``fn`` should be a module-level
-    function). With one job — or one task — no pool is created (and any
-    ``initializer`` runs once in-process, matching worker semantics).
-    ``initializer`` exists for ambient per-process switches that are not
-    part of the task tuples — e.g. propagating a forced engine mode to
-    spawn-started workers, which inherit nothing from the parent.
+    function). With one job — or one task — no pool is created. Each task
+    must carry everything its simulation depends on (engine, channel,
+    faults): spawn-started workers inherit nothing from the parent but
+    its telemetry sink.
 
     Resilience knobs (``None`` = the module defaults, see
     :func:`set_default_resilience`):
@@ -336,22 +327,16 @@ def parallel_map(
         raise ValueError(f"chunksize must be positive, got {chunksize}")
     jobs = min(resolve_jobs(n_jobs), max(1, len(task_list)))
     if jobs == 1:
-        if initializer is not None:
-            initializer(*initargs)
         return _serial_map(
             fn, task_list, task_timeout, retries, backoff, on_result,
             on_failure,
         )
     from ..obs.telemetry import telemetry_path
 
-    sink = telemetry_path()
-    if sink is not None:
-        initializer, initargs = (
-            _observability_worker_init, (sink, initializer, initargs)
-        )
     return _pool_map(
-        fn, task_list, jobs, chunksize, initializer, initargs,
-        task_timeout, retries, backoff, on_result, on_failure,
+        fn, task_list, jobs, chunksize, _observability_worker_init,
+        (telemetry_path(),), task_timeout, retries, backoff, on_result,
+        on_failure,
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from time import perf_counter
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
@@ -21,6 +20,7 @@ from ..baselines import (
     radio_decay_mis,
     regularized_luby_mis,
 )
+from ..congest import RunOptions
 from ..core import (
     Phase1Alg1Program,
     Phase1Alg2Program,
@@ -36,7 +36,6 @@ from ..obs import (
     Profiler,
     channel_label,
     emit,
-    instrument_scope,
     make_record,
     telemetry_path,
 )
@@ -117,6 +116,7 @@ def run_algorithm(
     graph: nx.Graph,
     seed: int = 0,
     *,
+    engine: str = "auto",
     channel=None,
     instrument=None,
     profile: bool = False,
@@ -125,27 +125,38 @@ def run_algorithm(
 ) -> MISResult:
     """Run one registered algorithm by name.
 
+    ``engine`` selects the engine path (:data:`repro.congest.ENGINE_MODES`).
     ``channel`` selects the delivery model (see
     :data:`repro.congest.CHANNELS`, plus the fault-wrapper spec grammar of
     :mod:`repro.faults.spec`, e.g. ``"lossy(drop=0.1):congest"``): ``None``
     keeps each algorithm's own default (CONGEST for the paper's algorithms
     and baselines, the radio broadcast channel for ``radio_decay``).
     ``faults`` injects a node-fault timeline (a
-    :class:`repro.faults.FaultPlan` of crash/straggler events) into every
-    network the run builds, via the ambient
-    :func:`~repro.congest.network.fault_scope`. ``instrument`` observes
-    every network the run builds (see :mod:`repro.obs`); ``profile=True``
-    attaches a wall-clock :class:`~repro.obs.Profiler` (composed with any
-    ``instrument``) and stores its section tree in
-    ``result.details["profile"]``. Extra keyword arguments (``config=``,
-    ``ledger=``, ``size_bound=``, ...) are forwarded to the underlying
-    algorithm untouched.
+    :class:`repro.faults.FaultPlan` of crash/straggler events).
+    ``instrument`` observes the run (see :mod:`repro.obs`);
+    ``profile=True`` attaches a wall-clock :class:`~repro.obs.Profiler`
+    (composed with any ``instrument``) and stores its section tree in
+    ``result.details["profile"]``. All four reach every network the run
+    builds as one :class:`~repro.congest.RunOptions`, built after the
+    checks below. Extra keyword arguments (``config=``, ``ledger=``,
+    ``size_bound=``, ...) are forwarded to the underlying algorithm
+    untouched.
     """
     if name not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {name!r}; have {sorted(ALGORITHMS)}")
     if channel is not None:
         _check_radio_safety(name, channel)
-        kwargs["channel"] = channel
+    if faults is not None and not faults.empty:
+        # Validate here against the full input graph: sub-networks the
+        # algorithm builds over node subsets legitimately see only part of
+        # the plan (the injector skips absent nodes), so the loud
+        # unknown-node error lives at this boundary.
+        unknown = faults.nodes() - set(graph.nodes)
+        if unknown:
+            raise KeyError(
+                f"fault plan names nodes not in the graph: "
+                f"{sorted(unknown, key=repr)[:5]!r}"
+            )
     profiler = Profiler() if profile else None
     if profiler is not None:
         instrument = (
@@ -153,26 +164,10 @@ def run_algorithm(
             if instrument is not None
             else profiler
         )
-    scopes = ExitStack()
-    with scopes:
-        if faults is not None and getattr(faults, "empty", True) is False:
-            from ..congest.network import fault_scope
-
-            # Validate here against the full input graph: sub-networks the
-            # algorithm builds over node subsets legitimately see only
-            # part of the plan (the injector skips absent nodes), so the
-            # loud unknown-node error lives at this boundary.
-            unknown = faults.nodes() - set(graph.nodes)
-            if unknown:
-                raise KeyError(
-                    f"fault plan names nodes not in the graph: "
-                    f"{sorted(unknown, key=repr)[:5]!r}"
-                )
-            scopes.enter_context(fault_scope(faults))
-        if instrument is None:
-            return ALGORITHMS[name](graph, seed, **kwargs)
-        scopes.enter_context(instrument_scope(instrument))
-        result = ALGORITHMS[name](graph, seed, **kwargs)
+    options = RunOptions(
+        engine=engine, channel=channel, faults=faults, instrument=instrument
+    )
+    result = ALGORITHMS[name](graph, seed, options=options, **kwargs)
     if profiler is not None:
         result.details["profile"] = profiler.as_dict()
     return result
@@ -206,6 +201,7 @@ def emit_static_record(
     graph: nx.Graph,
     seed: int,
     channel,
+    engine: str,
     result: MISResult,
     report,
     elapsed_s: float,
@@ -221,15 +217,13 @@ def emit_static_record(
     """
     if telemetry_path() is None:
         return False
-    from ..congest.network import get_engine_mode
-
     record = make_record(
         "static",
         algorithm=name,
         n=graph.number_of_nodes(),
         seed=seed,
         channel=channel_label(channel),
-        engine=get_engine_mode(),
+        engine=engine,
         **(extra or {}),
     )
     record.update(
@@ -292,8 +286,8 @@ def measure(name: str, graph: nx.Graph, seed: int = 0, **kwargs) -> Dict[str, fl
     elapsed = perf_counter() - started
     report = verify_mis(graph, result.mis)
     emit_static_record(
-        name, graph, seed, kwargs.get("channel"), result, report, elapsed,
-        extra=extra,
+        name, graph, seed, kwargs.get("channel"),
+        kwargs.get("engine", "auto"), result, report, elapsed, extra=extra,
     )
     return {
         "rounds": float(result.rounds),
@@ -307,25 +301,27 @@ def measure(name: str, graph: nx.Graph, seed: int = 0, **kwargs) -> Dict[str, fl
 
 
 def _measure_task(task: Tuple) -> Dict[str, float]:
-    """Worker for :func:`measure_many`: regenerate the graph, then measure.
+    """Worker for :func:`measure_many` and :func:`~repro.harness.sweep
+    .sweep`: regenerate the graph, then measure.
 
     The optional sixth element is a node-fault spec: either a
     :class:`repro.faults.FaultPlan` or a picklable dict of
     :meth:`FaultPlan.random` keyword arguments, instantiated here against
     the regenerated graph's node set so the task tuple stays a plain
-    value.
+    value. The optional seventh is the engine mode (default ``"auto"``).
     """
     algorithm, family, n, seed, *rest = task
     channel = rest[0] if rest else None
     faults = rest[1] if len(rest) > 1 else None
+    engine = rest[2] if len(rest) > 2 else "auto"
     graph = make_family(family, n, seed=seed)
     if isinstance(faults, dict):
         from ..faults import FaultPlan
 
         faults = FaultPlan.random(graph.nodes, **faults)
     return measure(
-        algorithm, graph, seed=seed, channel=channel, faults=faults,
-        telemetry_extra={"family": family},
+        algorithm, graph, seed=seed, engine=engine, channel=channel,
+        faults=faults, telemetry_extra={"family": family},
     )
 
 
@@ -333,14 +329,12 @@ def measure_many(
     tasks: Iterable[Tuple],
     *,
     n_jobs: Optional[int] = None,
-    initializer=None,
-    initargs: tuple = (),
     checkpoint=None,
     retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
 ) -> List[Dict[str, float]]:
-    """Measure many (algorithm, family, n, seed[, channel[, faults]])
-    cells, optionally in parallel.
+    """Measure many (algorithm, family, n, seed[, channel[, faults[,
+    engine]]]) cells, optionally in parallel.
 
     Each task tuple fully describes one deterministic simulation, so the
     results are identical (and identically ordered) for any ``n_jobs``.
@@ -348,9 +342,10 @@ def measure_many(
     :data:`repro.congest.CHANNELS` or a fault-wrapper spec string
     (``"lossy(drop=0.1):congest"``); the optional sixth is a dict of
     :meth:`repro.faults.FaultPlan.random` keyword arguments (``None`` =
-    no node faults). ``initializer``/``initargs`` run once per worker
-    (and once in-process when serial) for ambient switches like a forced
-    engine mode. ``checkpoint`` (a
+    no node faults); the optional seventh is an engine mode from
+    :data:`repro.congest.ENGINE_MODES` (default ``"auto"``). Since the
+    engine is part of the task, a checkpoint never replays one engine's
+    outcome for another. ``checkpoint`` (a
     :class:`repro.harness.checkpoint.SweepCheckpoint`) records each
     finished task and skips already-recorded ones on resume; failed tasks
     then become ``None`` slots instead of raising.
@@ -361,7 +356,6 @@ def measure_many(
 
     return run_checkpointed(
         _measure_task, tasks, checkpoint, n_jobs=n_jobs,
-        initializer=initializer, initargs=initargs,
         retries=retries, task_timeout=task_timeout,
     )
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..analysis import Summary, aggregate_trials
-from ..graphs import make_family
 from ..obs import get_logger
 from .checkpoint import SweepCheckpoint, run_checkpointed, task_key
-from .runner import measure
+from .runner import _measure_task
 
 _log = get_logger("harness.sweep")
 
@@ -34,29 +33,6 @@ class SweepPoint:
 
     def mean(self, key: str) -> float:
         return self.summaries[key].mean
-
-
-def _sweep_task(task: Tuple) -> Dict[str, float]:
-    """One sweep cell trial; module-level so process pools can pickle it.
-
-    The graph is regenerated from (family, n, seed[, channel[, faults]])
-    inside the worker, so parallel execution is bit-identical to the
-    serial loop. ``channel`` may be a fault-wrapper spec string
-    (``"lossy(drop=0.1):congest"``); ``faults`` is a picklable dict of
-    :meth:`repro.faults.FaultPlan.random` keyword arguments.
-    """
-    algorithm, family, n, seed, *rest = task
-    channel = rest[0] if rest else None
-    faults = rest[1] if len(rest) > 1 else None
-    graph = make_family(family, n, seed=seed)
-    if isinstance(faults, dict):
-        from ..faults import FaultPlan
-
-        faults = FaultPlan.random(graph.nodes, **faults)
-    return measure(
-        algorithm, graph, seed=seed, channel=channel, faults=faults,
-        telemetry_extra={"family": family},
-    )
 
 
 def sweep(
@@ -116,7 +92,7 @@ def sweep(
         if checkpoint is not None else None
     )
     outcomes = run_checkpointed(
-        _sweep_task, tasks, ledger,
+        _measure_task, tasks, ledger,
         n_jobs=n_jobs, retries=retries, task_timeout=task_timeout,
     )
     points: List[SweepPoint] = []

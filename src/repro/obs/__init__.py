@@ -38,8 +38,6 @@ from .instrument import (
     Instrument,
     NullInstrument,
     RecordingInstrument,
-    current_instrument,
-    instrument_scope,
     resolve_instrument,
 )
 from .log import configure_logging, get_logger
@@ -77,10 +75,8 @@ __all__ = [
     "SectionStat",
     "channel_label",
     "configure_logging",
-    "current_instrument",
     "emit",
     "get_logger",
-    "instrument_scope",
     "make_record",
     "render_profile",
     "resolve_instrument",

@@ -30,15 +30,14 @@ of predictable branch checks per round when observability is off
 times per run (run/phase/epoch boundaries) go through the null object's
 no-op methods unconditionally — simpler call sites, unmeasurable cost.
 
-Instruments are installed either per network (``Network(instrument=...)``)
-or ambiently with :func:`instrument_scope`, which is how one profiler
-observes every internal network a multi-phase algorithm builds — the same
-pattern as :func:`repro.congest.channels.channel_scope`.
+Instruments are installed per network (``Network(instrument=...)``). One
+profiler observes every internal network a multi-phase algorithm builds
+because the run's :class:`~repro.congest.network.RunOptions` carries it,
+and the driver hands it to each network it builds.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, List, Optional, Sequence, Tuple
 
 
@@ -165,43 +164,13 @@ class RecordingInstrument(Instrument):
         return [event for event in self.events if event[0] == kind]
 
 
-# Ambient default, settable by instrument_scope — a stack, so nested
-# scopes (e.g. a profiled run inside an instrumented sweep) restore
-# correctly.
-_SCOPE_STACK: List[Instrument] = []
-
-
-@contextmanager
-def instrument_scope(instrument: Optional[Instrument]):
-    """Make ``instrument`` the default for Networks built inside.
-
-    ``instrument_scope(None)`` is a no-op (inherits any enclosing scope),
-    so wrappers can pass their own ``instrument=None`` default through
-    unconditionally.
-    """
-    if instrument is None:
-        yield
-        return
-    _SCOPE_STACK.append(instrument)
-    try:
-        yield
-    finally:
-        _SCOPE_STACK.pop()
-
-
-def current_instrument() -> Instrument:
-    """The innermost scoped instrument, or :data:`NULL_INSTRUMENT`."""
-    return _SCOPE_STACK[-1] if _SCOPE_STACK else NULL_INSTRUMENT
-
-
 def resolve_instrument(spec: Optional[Instrument]) -> Instrument:
     """Resolve a ``Network(instrument=...)`` argument.
 
-    ``None`` defers to the innermost :func:`instrument_scope`, falling
-    back to the shared null object.
+    ``None`` is the shared null object.
     """
     if spec is None:
-        return current_instrument()
+        return NULL_INSTRUMENT
     if isinstance(spec, Instrument):
         return spec
     raise TypeError(

@@ -70,7 +70,7 @@ class SectionStat:
 
 
 class Profiler(Instrument):
-    """Nested wall-clock section timers, usable as an ambient instrument.
+    """Nested wall-clock section timers, usable as a run's instrument.
 
     The profiled wall clock runs from construction (or the last
     :meth:`reset`) to the moment a report is taken, so section totals can

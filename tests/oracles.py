@@ -18,9 +18,10 @@ the equivalence suites and the benchmark gates compare against:
   ``ctx.use_wake_schedule``, in place of their population start hooks
   (:func:`per_node_start`).
 
-Engine matrices name the loop oracle ``"legacy"`` (:func:`engine_path`),
-and channel matrices name the channel oracles by :data:`ORACLE_CHANNELS`
-keys (:func:`channel_spec`), so parametrized test ids read as before.
+Engine matrices name the loop oracle ``"legacy"`` (:func:`engine_path`
+yields the engine to pass for it), and channel matrices name the channel
+oracles by :data:`ORACLE_CHANNELS` keys (:func:`channel_spec`), so
+parametrized test ids read as before.
 Not a test module (pytest only collects ``test_*.py``).
 """
 
@@ -33,7 +34,6 @@ from repro.congest import (
     LocalChannel,
     Network,
     NodeProgram,
-    engine_mode,
 )
 from repro.congest.channels import COLLISION_MESSAGE
 from repro.congest.message import Message
@@ -61,31 +61,28 @@ def stepped_idle_rounds():
 
 
 @contextmanager
-def legacy_engine():
-    """Run every network inside on the step-every-round oracle: the
-    cached scalar loop (never vectorized) with no idle fast-forward."""
-    with engine_mode("fast"), stepped_idle_rounds():
-        yield
-
-
-@contextmanager
 def engine_path(mode):
-    """``engine_mode(mode)``, with ``"legacy"`` naming the loop oracle."""
-    scope = legacy_engine() if mode == "legacy" else engine_mode(mode)
-    with scope:
-        yield
+    """Yield the engine to pass (``run(engine=...)``,
+    ``run_algorithm(engine=...)``) for ``mode``. ``"legacy"`` names the
+    step-every-round oracle: the cached scalar loop (``"fast"``, never
+    vectorized) with idle rounds stepped while the block runs."""
+    if mode == "legacy":
+        with stepped_idle_rounds():
+            yield "fast"
+    else:
+        yield mode
 
 
 def run_legacy(network, **kwargs):
     """``network.run(...)`` on the step-every-round oracle."""
-    with legacy_engine():
-        return network.run(**kwargs)
+    with stepped_idle_rounds():
+        return network.run(engine="fast", **kwargs)
 
 
 def run_rounds_legacy(network, rounds):
     """``network.run_rounds(rounds)`` on the step-every-round oracle."""
-    with legacy_engine():
-        return network.run_rounds(rounds)
+    with stepped_idle_rounds():
+        return network.run_rounds(rounds, engine="fast")
 
 
 # -- per-Message point-to-point delivery ----------------------------------

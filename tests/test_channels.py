@@ -9,7 +9,6 @@ from repro.analysis import verify_mis
 from repro.congest import (
     CHANNELS,
     COLLISION,
-    BroadcastChannel,
     Channel,
     ChannelError,
     CongestChannel,
@@ -18,7 +17,7 @@ from repro.congest import (
     MessageTooLargeError,
     Network,
     NodeProgram,
-    channel_scope,
+    RunOptions,
     make_channel,
 )
 
@@ -67,16 +66,6 @@ class TestMakeChannel:
         channel = make_channel(None)
         assert type(channel) is CongestChannel
 
-    def test_scope_sets_default_and_nests(self):
-        with channel_scope("local"):
-            assert isinstance(make_channel(None), LocalChannel)
-            with channel_scope(None):  # None inherits, never masks
-                assert isinstance(make_channel(None), LocalChannel)
-            with channel_scope("broadcast"):
-                assert isinstance(make_channel(None), BroadcastChannel)
-            assert isinstance(make_channel(None), LocalChannel)
-        assert type(make_channel(None)) is CongestChannel
-
     def test_bad_spec_rejected(self):
         with pytest.raises(TypeError):
             make_channel(42)
@@ -100,8 +89,10 @@ class TestLocalChannel:
     def test_same_outputs_as_congest(self):
         """LOCAL changes accounting, never delivery: Luby runs identically."""
         graph = graphs.make_family("gnp_log_degree", 48, seed=3)
-        local = luby_mis(graph, seed=3, channel="local")
-        congest = luby_mis(graph, seed=3, channel="congest")
+        local = luby_mis(graph, seed=3, options=RunOptions(channel="local"))
+        congest = luby_mis(
+            graph, seed=3, options=RunOptions(channel="congest")
+        )
         assert local.mis == congest.mis
         assert local.rounds == congest.rounds
         assert local.max_energy == congest.max_energy
@@ -261,7 +252,9 @@ class TestRadioDecayMIS:
 
     def test_runs_on_reliable_channels_too(self):
         graph = graphs.make_family("gnp_log_degree", 64, seed=1)
-        result = radio_decay_mis(graph, seed=1, channel="congest")
+        result = radio_decay_mis(
+            graph, seed=1, options=RunOptions(channel="congest")
+        )
         report = verify_mis(graph, result.mis)
         assert report.independent and report.maximal
         assert result.metrics.collisions == 0
@@ -317,16 +310,24 @@ class TestRadioSafety:
         "channel", ["broadcast", "lossy(drop=0.1,seed=1):broadcast"]
     )
     @pytest.mark.parametrize("algorithm", _radio_unsafe_algorithms())
+    @pytest.mark.parametrize("entry", ["run_algorithm", "run_dynamic"])
     def test_point_to_point_algorithm_refused_on_broadcast(
-        self, algorithm, channel
+        self, entry, algorithm, channel
     ):
         """Every algorithm outside the radio-safe set is refused on the
-        radio medium, also behind a fault wrapper (``unwrapped()``)."""
-        from repro.harness import run_algorithm
+        radio medium, also behind a fault wrapper (``unwrapped()``), by
+        the static and the dynamic entry point alike."""
+        from repro.harness import run_algorithm, run_dynamic_workload
 
         graph = graphs.make_family("grid", 25, seed=0)
         with pytest.raises(ValueError, match="unsound on the shared radio"):
-            run_algorithm(algorithm, graph, channel=channel)
+            if entry == "run_algorithm":
+                run_algorithm(algorithm, graph, channel=channel)
+            else:
+                run_dynamic_workload(
+                    "link_flap", algorithm, n=25, epochs=1,
+                    options=RunOptions(channel=channel),
+                )
 
     def test_radio_safe_and_reliable_combos_allowed(self):
         from repro.harness import run_algorithm
@@ -406,7 +407,8 @@ class TestBroadcastCollisionAccounting:
         for channel in ("broadcast", "broadcast-scalar"):
             ledger = EnergyLedger(graph.nodes)
             result = radio_decay_mis(
-                graph, seed=seed, ledger=ledger, channel=channel_spec(channel)
+                graph, seed=seed, ledger=ledger,
+                options=RunOptions(channel=channel_spec(channel)),
             )
             runs[channel] = (result, ledger.snapshot())
         vectorized, scalar = runs["broadcast"], runs["broadcast-scalar"]

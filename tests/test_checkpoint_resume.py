@@ -194,3 +194,37 @@ def test_sigkill_mid_sweep_then_resume_matches_uninterrupted(tmp_path):
     assert len(calls) == 10 - done_before
     # The merged aggregate equals an uninterrupted run's.
     assert outcomes == [_outcome(task) for task in tasks]
+
+
+# -- the engine is part of a task -------------------------------------------
+
+def test_resume_under_another_engine_recomputes(tmp_path, capsys):
+    """A checkpoint written under one engine must not answer for another:
+    under an active lossy channel the engines simulate different faulty
+    runs, so the resumed rows must be the fresh run's, not the replayed
+    ones."""
+    from repro.__main__ import main
+    from repro.obs.telemetry import set_telemetry_path
+
+    path = str(tmp_path / "ck.jsonl")
+    common = [
+        "-a", "luby", "-n", "96", "--seeds", "3", "--quiet",
+        "--channel", "lossy(drop=0.1,seed=3):congest",
+    ]
+
+    def rows(*flags):
+        main(common + list(flags))
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if line.split()[0] in {"0", "1", "2"}]
+
+    try:
+        fast = rows("--engine", "fast", "--checkpoint", path)
+        resumed = rows(
+            "--engine", "vectorized", "--checkpoint", path, "--resume"
+        )
+        fresh = rows("--engine", "vectorized")
+    finally:
+        set_telemetry_path(None)
+    assert len(fresh) == 3
+    assert resumed == fresh
+    assert resumed != fast

@@ -12,7 +12,6 @@ checkpointed multi-seed run driven entirely through ``main(argv)``.
 import pytest
 
 from repro.__main__ import main
-from repro.congest import set_engine_mode
 from repro.harness.parallel import set_default_resilience
 from repro.obs.telemetry import set_telemetry_path
 
@@ -21,7 +20,6 @@ from repro.obs.telemetry import set_telemetry_path
 def _reset_cli_globals():
     """``main`` installs module-wide defaults; restore them after each test."""
     yield
-    set_engine_mode("auto")
     set_telemetry_path(None)
     set_default_resilience(retries=0, task_timeout=None, backoff=0.5)
 

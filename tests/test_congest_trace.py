@@ -171,8 +171,8 @@ class TestIdleSpanRoundTrip:
             network = Network(
                 graph, {v: Gappy() for v in graph.nodes}, trace=True
             )
-            with engine_path(engine):
-                network.run()
+            with engine_path(engine) as path:
+                network.run(engine=path)
             return network.trace
 
         fast, legacy = run("fast"), run("legacy")
@@ -221,8 +221,8 @@ class TestStaleInboxViewsAcrossFastForward:
         graph = nx.path_graph(2)
         programs = {v: self._Stasher() for v in graph.nodes}
         network = Network(graph, programs)
-        with engine_path(engine):
-            network.run()
+        with engine_path(engine) as path:
+            network.run(engine=path)
         assert network.metrics().rounds == 41
         for node, program in programs.items():
             assert program.stashed is not None, node

@@ -3,7 +3,7 @@
 The engine's idle-round fast-forward and cached round loop are pure
 optimizations: for every algorithm and workload, outputs, metrics, and
 ledger state must be *bit-identical* to the naive one-step-per-round loop
-(the ``"legacy"`` oracle of ``tests/oracles.py``: ``legacy_engine()``,
+(the ``"legacy"`` oracle of ``tests/oracles.py``: ``engine_path("legacy")``,
 ``run_legacy``, ``run_rounds_legacy``). This suite locks that in for
 every registered algorithm on several graph
 families, and for hand-built schedules that exercise the tricky corners
@@ -37,10 +37,7 @@ from repro.congest import (
     Network,
     NodeProgram,
     VectorizationError,
-    channel_scope,
-    engine_mode,
     reset_vector_stats,
-    set_engine_mode,
     vector_stats,
 )
 from repro.harness import (
@@ -48,16 +45,13 @@ from repro.harness import (
     VECTOR_CAPABLE_ALGORITHMS,
     run_algorithm,
 )
-from repro.harness.runner import RADIO_SAFE_ALGORITHMS
 
 from kernel_programs import KERNEL_PROGRAMS, kernel_programs
 from oracles import (
     channel_spec,
     engine_path,
-    legacy_engine,
     run_legacy,
     run_rounds_legacy,
-    stepped_idle_rounds,
 )
 
 FAMILIES = ["gnp_log_degree", "geometric", "grid"]
@@ -85,9 +79,11 @@ def test_algorithms_identical_across_engine_paths(algorithm, family):
 
     fast_ledger = EnergyLedger(graph.nodes)
     fast = run_algorithm(algorithm, graph, seed=5, ledger=fast_ledger)
-    with legacy_engine():
+    with engine_path("legacy") as engine:
         legacy_ledger = EnergyLedger(graph.nodes)
-        legacy = run_algorithm(algorithm, graph, seed=5, ledger=legacy_ledger)
+        legacy = run_algorithm(
+            algorithm, graph, seed=5, ledger=legacy_ledger, engine=engine
+        )
 
     assert fast.mis == legacy.mis
     assert _metrics_tuple(fast.metrics) == _metrics_tuple(legacy.metrics)
@@ -115,16 +111,11 @@ def test_batched_channel_identical_to_per_message_reference(algorithm, family):
         for channel in (base, f"{base}-per-message"):
             for use_legacy in (False, True):
                 ledger = EnergyLedger(graph.nodes)
-                with channel_scope(channel_spec(channel)):
-                    if use_legacy:
-                        with legacy_engine():
-                            result = run_algorithm(
-                                algorithm, graph, seed=5, ledger=ledger
-                            )
-                    else:
-                        result = run_algorithm(
-                            algorithm, graph, seed=5, ledger=ledger
-                        )
+                with engine_path("legacy" if use_legacy else "auto") as engine:
+                    result = run_algorithm(
+                        algorithm, graph, seed=5, ledger=ledger,
+                        engine=engine, channel=channel_spec(channel),
+                    )
                 results[(channel, use_legacy)] = (result, ledger.snapshot())
 
         reference, reference_ledger = results[(f"{base}-per-message", True)]
@@ -134,9 +125,9 @@ def test_batched_channel_identical_to_per_message_reference(algorithm, family):
                 _metrics_tuple(reference.metrics), key
             assert result.metrics == reference.metrics, key
             assert ledger_snapshot == reference_ledger, key
-            if base == "local" and algorithm not in RADIO_SAFE_ALGORITHMS:
-                # radio_decay keeps its own broadcast medium under any
-                # scope; every other algorithm ran on LOCAL.
+            if base == "local":
+                # Every algorithm, radio_decay included, ran on the named
+                # channel: LOCAL prices no bits.
                 assert result.metrics.total_message_bits == 0, key
 
 
@@ -157,8 +148,10 @@ def test_three_way_engine_matrix(algorithm, family):
     results = {}
     for mode in ("fast", "legacy", "auto"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_path(mode):
-            result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
+        with engine_path(mode) as engine:
+            result = run_algorithm(
+                algorithm, graph, seed=5, ledger=ledger, engine=engine
+            )
         results[mode] = (result, ledger.snapshot())
 
     reference, reference_ledger = results["legacy"]
@@ -198,9 +191,8 @@ def test_forced_vectorized_raises_for_incapable_programs(algorithm):
     program has no kernel and runs on the broadcast medium)."""
     assert algorithm not in VECTOR_CAPABLE_ALGORITHMS
     graph = graphs.make_family("gnp_log_degree", N, seed=5)
-    with engine_mode("vectorized"):
-        with pytest.raises(VectorizationError):
-            run_algorithm(algorithm, graph, seed=5)
+    with pytest.raises(VectorizationError):
+        run_algorithm(algorithm, graph, seed=5, engine="vectorized")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -219,8 +211,10 @@ def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
     results = {}
     for mode in ("fast", "legacy", "vectorized"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_path(mode):
-            result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
+        with engine_path(mode) as engine:
+            result = run_algorithm(
+                algorithm, graph, seed=5, ledger=ledger, engine=engine
+            )
         results[mode] = (result, ledger.snapshot())
 
     reference, reference_ledger = results["legacy"]
@@ -487,11 +481,10 @@ def test_forced_vectorized_ignores_small_graph_floor():
     run_algorithm("luby", graph, seed=5)  # auto: under the floor
     assert vector_stats()["rounds"] == 0
     reset_vector_stats()
-    with engine_mode("vectorized"):
-        forced = run_algorithm("luby", graph, seed=5)
+    forced = run_algorithm("luby", graph, seed=5, engine="vectorized")
     assert vector_stats()["rounds"] > 0
-    with legacy_engine():
-        reference = run_algorithm("luby", graph, seed=5)
+    with engine_path("legacy") as engine:
+        reference = run_algorithm("luby", graph, seed=5, engine=engine)
     assert forced.mis == reference.mis
     assert forced.metrics == reference.metrics
 
@@ -627,8 +620,8 @@ class TestScheduledWorkloads:
             ledger=ledger,
             trace=True,
         )
-        with engine_path(engine):
-            runner(network)
+        with engine_path(engine) as path:
+            runner(network, path)
         return network
 
     def _assert_identical(self, runner):
@@ -650,39 +643,21 @@ class TestScheduledWorkloads:
             legacy.trace.sleep_diagram(sorted(legacy.contexts))
 
     def test_run_to_completion(self):
-        self._assert_identical(lambda net: net.run())
+        self._assert_identical(lambda net, engine: net.run(engine=engine))
 
     def test_run_rounds_truncated_mid_gap(self):
         # 55 rounds ends inside an idle stretch: the fast path must still
         # advance simulated time to exactly the same round.
-        self._assert_identical(lambda net: net.run_rounds(55))
+        self._assert_identical(
+            lambda net, engine: net.run_rounds(55, engine=engine)
+        )
 
     def test_run_rounds_then_run(self):
-        def runner(net):
-            net.run_rounds(10)
-            net.run()
+        def runner(net, engine):
+            net.run_rounds(10, engine=engine)
+            net.run(engine=engine)
 
         self._assert_identical(runner)
-
-
-def test_module_level_switch():
-    graph = nx.path_graph(4)
-
-    class Once(NodeProgram):
-        def on_round(self, ctx):
-            ctx.output["ran"] = ctx.round
-            ctx.halt()
-
-    with stepped_idle_rounds():
-        set_engine_mode("fast")
-        try:
-            legacy_net = Network(graph, {v: Once() for v in graph.nodes})
-            legacy_metrics = legacy_net.run()
-        finally:
-            set_engine_mode("auto")
-    fast_net = Network(graph, {v: Once() for v in graph.nodes})
-    assert fast_net.run() == legacy_metrics
-    assert fast_net.outputs("ran") == legacy_net.outputs("ran")
 
 
 def test_pruned_halt_schedules_agree_with_pending_work():
@@ -699,7 +674,7 @@ def test_pruned_halt_schedules_agree_with_pending_work():
     graph = nx.path_graph(3)
     for engine in ("fast", "legacy"):
         network = Network(graph, {v: ScheduleThenHalt() for v in graph.nodes})
-        with engine_path(engine):
-            metrics = network.run(max_rounds=10_000)
+        with engine_path(engine) as path:
+            metrics = network.run(max_rounds=10_000, engine=path)
         assert metrics.rounds == 2  # not 500_001, and no limit error
         assert not network.has_pending_work()

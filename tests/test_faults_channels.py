@@ -22,9 +22,7 @@ from repro.congest import (
     CongestChannel,
     EnergyLedger,
     VectorizationError,
-    engine_mode,
     make_channel,
-    set_engine_mode,
 )
 from repro.faults import (
     CORRUPTED,
@@ -39,7 +37,7 @@ from repro.faults import (
 from repro.graphs import make_family
 from repro.harness import measure_many, run_algorithm
 
-from oracles import engine_path, legacy_engine
+from oracles import engine_path
 
 N = 48
 SEED = 7
@@ -62,12 +60,6 @@ def _fingerprint(result):
     )
 
 
-@pytest.fixture(autouse=True)
-def _reset_engine():
-    yield
-    set_engine_mode("auto")
-
-
 # -- zero-rate transparency -----------------------------------------------
 
 ENGINES = ["legacy", "fast", "auto"]
@@ -84,34 +76,42 @@ ENGINES = ["legacy", "fast", "auto"]
 )
 def test_zero_rate_wrapper_is_transparent(engine, spec):
     graph = _graph()
-    with engine_path(engine):
-        bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
-        wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
+    with engine_path(engine) as path:
+        bare = run_algorithm(
+            "luby", graph, seed=SEED, engine=path, channel="congest"
+        )
+        wrapped = run_algorithm(
+            "luby", graph, seed=SEED, engine=path, channel=spec
+        )
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
 
 def test_zero_rate_transparent_on_forced_vectorized():
     graph = make_family("gnp_log_degree", 96, seed=SEED)
-    set_engine_mode("vectorized")
-    bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
+    bare = run_algorithm(
+        "luby", graph, seed=SEED, engine="vectorized", channel="congest"
+    )
     # A zero-rate corrupt(...) is inactive, so it must not decline the
     # forced vector path the way an active one does.
     for spec in (
         "lossy(drop=0.0,seed=3):congest", "corrupt(flip=0.0,seed=3):congest"
     ):
-        wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
+        wrapped = run_algorithm(
+            "luby", graph, seed=SEED, engine="vectorized", channel=spec
+        )
         assert _fingerprint(bare) == _fingerprint(wrapped), spec
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_rate_jammer_is_transparent(engine):
     graph = _graph()
-    with engine_path(engine):
+    with engine_path(engine) as path:
         bare = run_algorithm(
-            "radio_decay", graph, seed=SEED, channel="broadcast"
+            "radio_decay", graph, seed=SEED, engine=path, channel="broadcast"
         )
         wrapped = run_algorithm(
-            "radio_decay", graph, seed=SEED, channel="jam(rate=0.0):broadcast"
+            "radio_decay", graph, seed=SEED, engine=path,
+            channel="jam(rate=0.0):broadcast",
         )
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
@@ -163,10 +163,11 @@ def test_fault_seed_independent_of_algorithm_seed():
 def test_fast_and_legacy_agree_under_active_faults():
     graph = _graph()
     spec = "lossy(drop=0.15,seed=5):congest"
-    set_engine_mode("fast")
-    fast = run_algorithm("luby", graph, seed=SEED, channel=spec)
-    with legacy_engine():
-        legacy = run_algorithm("luby", graph, seed=SEED, channel=spec)
+    fast = run_algorithm("luby", graph, seed=SEED, engine="fast", channel=spec)
+    with engine_path("legacy") as engine:
+        legacy = run_algorithm(
+            "luby", graph, seed=SEED, engine=engine, channel=spec
+        )
     assert _fingerprint(fast) == _fingerprint(legacy)
 
 
@@ -197,10 +198,10 @@ def test_forced_vectorized_engages_with_lossy_wrapper():
     from repro.congest import reset_vector_stats, vector_stats
 
     graph = make_family("gnp_log_degree", 96, seed=SEED)
-    set_engine_mode("vectorized")
     reset_vector_stats()
     result = run_algorithm(
-        "luby", graph, seed=SEED, channel="lossy(drop=0.2,seed=3):congest"
+        "luby", graph, seed=SEED, engine="vectorized",
+        channel="lossy(drop=0.2,seed=3):congest",
     )
     stats = vector_stats()
     assert stats["networks"] >= 1 and stats["rounds"] > 0
@@ -211,16 +212,18 @@ def test_forced_vectorized_engages_with_lossy_wrapper():
 def test_forced_vectorized_refuses_node_fault_plans():
     graph = _graph()
     plan = FaultPlan.random(graph.nodes, seed=3, crash=0.1, horizon=5)
-    set_engine_mode("vectorized")
     with pytest.raises(VectorizationError, match="node-fault"):
-        run_algorithm("luby", graph, seed=SEED, faults=plan)
+        run_algorithm(
+            "luby", graph, seed=SEED, engine="vectorized", faults=plan
+        )
 
 
 def test_auto_mode_falls_back_for_node_fault_plans():
     graph = make_family("gnp_log_degree", 96, seed=SEED)
     plan = FaultPlan.random(graph.nodes, seed=3, crash=0.1, horizon=5)
-    set_engine_mode("auto")
-    result = run_algorithm("luby", graph, seed=SEED, faults=plan)
+    result = run_algorithm(
+        "luby", graph, seed=SEED, engine="auto", faults=plan
+    )
     assert result.rounds > 0
 
 
@@ -236,10 +239,10 @@ def test_active_corruption_runs_auto_identical_to_fast(algorithm):
     runs = {}
     for mode in ("fast", "auto"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_mode(mode):
-            result = run_algorithm(
-                algorithm, graph, seed=SEED, ledger=ledger, channel=CORRUPT
-            )
+        result = run_algorithm(
+            algorithm, graph, seed=SEED, ledger=ledger, engine=mode,
+            channel=CORRUPT,
+        )
         runs[mode] = (
             result.mis, result.metrics.to_dict(), ledger.snapshot()
         )
@@ -248,9 +251,10 @@ def test_active_corruption_runs_auto_identical_to_fast(algorithm):
 
 def test_forced_vectorized_refuses_active_corruption():
     graph = make_family("gnp_log_degree", 96, seed=SEED)
-    set_engine_mode("vectorized")
     with pytest.raises(VectorizationError, match="corrupt"):
-        run_algorithm("luby", graph, seed=SEED, channel=CORRUPT)
+        run_algorithm(
+            "luby", graph, seed=SEED, engine="vectorized", channel=CORRUPT
+        )
 
 
 # -- drops are counted, not invented --------------------------------------

@@ -58,9 +58,13 @@ MATRIX = [
 @pytest.mark.parametrize("algorithm,channel,engine", MATRIX)
 def test_faulty_run_terminates_deterministically(algorithm, channel, engine):
     graph = make_family("gnp_log_degree", N, seed=SEED)
-    with engine_path(engine):
-        first = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
-        second = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
+    with engine_path(engine) as path:
+        first = run_algorithm(
+            algorithm, graph, seed=SEED, engine=path, channel=channel
+        )
+        second = run_algorithm(
+            algorithm, graph, seed=SEED, engine=path, channel=channel
+        )
     assert first.rounds > 0
     assert first.mis == second.mis
     assert first.rounds == second.rounds

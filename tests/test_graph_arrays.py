@@ -163,8 +163,10 @@ class TestLabelledNetworks:
     def test_luby_on_every_engine(self, engine):
         graph = nx.path_graph([10, 20, 30, 40, 50])
         reference = run_algorithm("luby", graph, 1)
-        with engine_path(engine):
-            result = run_algorithm("luby", GraphArrays.from_graph(graph), 1)
+        with engine_path(engine) as path:
+            result = run_algorithm(
+                "luby", GraphArrays.from_graph(graph), 1, engine=path
+            )
         assert result.mis == reference.mis
         assert result.rounds == reference.rounds
         assert result.max_energy == reference.max_energy

@@ -5,7 +5,7 @@ import pytest
 
 from repro import graphs
 from repro.baselines import LubyProgram
-from repro.congest import Network, engine_mode
+from repro.congest import Network, RunOptions
 from repro.harness import run_algorithm
 from repro.obs import (
     NULL_INSTRUMENT,
@@ -13,8 +13,6 @@ from repro.obs import (
     Instrument,
     NullInstrument,
     RecordingInstrument,
-    current_instrument,
-    instrument_scope,
     resolve_instrument,
 )
 
@@ -23,28 +21,7 @@ from oracles import engine_path
 
 class TestResolution:
     def test_default_is_null(self):
-        assert current_instrument() is NULL_INSTRUMENT
         assert resolve_instrument(None) is NULL_INSTRUMENT
-
-    def test_scope_stack_nests_and_restores(self):
-        outer, inner = RecordingInstrument(), RecordingInstrument()
-        with instrument_scope(outer):
-            assert current_instrument() is outer
-            with instrument_scope(inner):
-                assert current_instrument() is inner
-            assert current_instrument() is outer
-        assert current_instrument() is NULL_INSTRUMENT
-
-    def test_none_scope_is_passthrough(self):
-        outer = RecordingInstrument()
-        with instrument_scope(outer):
-            with instrument_scope(None):
-                assert current_instrument() is outer
-
-    def test_explicit_instance_wins_over_scope(self):
-        scoped, explicit = RecordingInstrument(), RecordingInstrument()
-        with instrument_scope(scoped):
-            assert resolve_instrument(explicit) is explicit
 
     def test_rejects_non_instruments(self):
         with pytest.raises(TypeError):
@@ -91,8 +68,10 @@ class TestEventStream:
     def _run(self, mode, algorithm="luby", n=80):
         rec = RecordingInstrument()
         graph = nx.gnp_random_graph(n, 0.1, seed=1)
-        with engine_path(mode), instrument_scope(rec):
-            result = run_algorithm(algorithm, graph, seed=3)
+        with engine_path(mode) as engine:
+            result = run_algorithm(
+                algorithm, graph, seed=3, engine=engine, instrument=rec
+            )
         return rec, result
 
     def test_run_lifecycle_events(self):
@@ -131,9 +110,10 @@ class TestEventStream:
         stay bit-identical to an unprofiled run and the section tree
         records the dense rounds under ``vector_round``."""
         graph = nx.gnp_random_graph(80, 0.1, seed=1)
-        with engine_mode("vectorized"):
-            plain = run_algorithm(algorithm, graph, seed=3)
-            profiled = run_algorithm(algorithm, graph, seed=3, profile=True)
+        plain = run_algorithm(algorithm, graph, seed=3, engine="vectorized")
+        profiled = run_algorithm(
+            algorithm, graph, seed=3, engine="vectorized", profile=True
+        )
         assert profiled.mis == plain.mis
         assert profiled.metrics == plain.metrics
         profile = profiled.details["profile"]
@@ -184,8 +164,7 @@ class TestPhaseEvents:
     def test_phase_sequence(self, algorithm, expected):
         rec = RecordingInstrument()
         graph = nx.gnp_random_graph(90, 0.08, seed=4)
-        with instrument_scope(rec):
-            result = run_algorithm(algorithm, graph, seed=1)
+        result = run_algorithm(algorithm, graph, seed=1, instrument=rec)
         starts = [name for _, name in rec.of_kind("phase_start")]
         ends = [event[1] for event in rec.of_kind("phase_end")]
         assert starts == ends == expected
@@ -202,10 +181,10 @@ class TestEpochEvents:
         from repro.harness import run_dynamic_workload
 
         rec = RecordingInstrument()
-        with instrument_scope(rec):
-            result = run_dynamic_workload(
-                "link_flap", "algorithm1", n=40, epochs=3, seed=1
-            )
+        result = run_dynamic_workload(
+            "link_flap", "algorithm1", n=40, epochs=3, seed=1,
+            options=RunOptions(instrument=rec),
+        )
         epochs = rec.of_kind("epoch")
         assert [event[1] for event in epochs] == [
             row.epoch for row in result.epochs

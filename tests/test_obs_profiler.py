@@ -5,7 +5,6 @@ import json
 import networkx as nx
 import pytest
 
-from repro.congest import engine_mode
 from repro.harness import run_algorithm
 from repro.obs import Profiler, render_profile, section_scope
 
@@ -116,8 +115,9 @@ class TestRunAlgorithmProfile:
 
     def test_scalar_engine_sections(self):
         graph = nx.gnp_random_graph(50, 0.1, seed=6)
-        with engine_mode("fast"):
-            result = run_algorithm("luby", graph, seed=2, profile=True)
+        result = run_algorithm(
+            "luby", graph, seed=2, engine="fast", profile=True
+        )
         round_node = _find(result.details["profile"]["sections"], "round")
         assert round_node is not None
         child_names = {c["name"] for c in round_node["children"]}
@@ -125,8 +125,9 @@ class TestRunAlgorithmProfile:
 
     def test_vectorized_engine_sections(self):
         graph = nx.gnp_random_graph(80, 0.1, seed=7)
-        with engine_mode("vectorized"):
-            result = run_algorithm("luby", graph, seed=2, profile=True)
+        result = run_algorithm(
+            "luby", graph, seed=2, engine="vectorized", profile=True
+        )
         sections = result.details["profile"]["sections"]
         vector = _find(sections, "vector_round")
         assert vector is not None and vector["calls"] >= 1

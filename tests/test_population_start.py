@@ -196,8 +196,8 @@ def _halting_runs(graph, make):
         network = Network(graph, {v: make() for v in graph.nodes}, seed=11)
         network.start()
         last_wake = max(network._wake_calendar)
-        with engine_path(engine):
-            metrics = network.run()
+        with engine_path(engine) as path:
+            metrics = network.run(engine=path)
         assert not network.has_pending_work(), engine
         if engine == "vectorized":
             assert network.vector_rounds > 0

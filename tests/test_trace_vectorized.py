@@ -77,10 +77,10 @@ class TestIdleCompactionVectorized:
 
     def _run_past_completion(self, engine):
         network = _traced_network(PROGRAMS["luby"], n=70, p=0.1, seed=9)
-        with engine_path(engine):
-            network.run()
+        with engine_path(engine) as path:
+            network.run(engine=path)
             finished_at = network.round_index
-            network.run_rounds(self.EXTRA)
+            network.run_rounds(self.EXTRA, engine=path)
         return network, finished_at
 
     def test_vectorized_tail_is_a_compact_span(self):
