@@ -9,6 +9,8 @@ energy-complexity separation.
 Run:  python examples/sleep_diagram.py
 """
 
+from functools import partial
+
 from repro import graphs
 from repro.baselines import LubyProgram
 from repro.congest import Network
@@ -24,9 +26,7 @@ def main():
     sample_nodes = sorted(graph.nodes)[:12]
 
     # --- Luby: no sleeping until decided -----------------------------
-    luby_net = Network(
-        graph, {v: LubyProgram() for v in graph.nodes}, seed=0, trace=True
-    )
+    luby_net = Network(graph, LubyProgram, seed=0, trace=True)
     luby_net.run()
     print("Luby's algorithm (every undecided node awake every round):\n")
     print(luby_net.trace.sleep_diagram(sample_nodes, width=60))
@@ -37,12 +37,10 @@ def main():
     config = DEFAULT_CONFIG
     iterations = config.phase1_iterations(n, delta)
     rounds_per_iteration = config.phase1_rounds_per_iteration(n)
-    programs = {
-        v: Phase1Alg1Program(
-            iterations, rounds_per_iteration, delta, config.phase1_mark_divisor
-        )
-        for v in graph.nodes
-    }
+    programs = partial(
+        Phase1Alg1Program, iterations, rounds_per_iteration, delta,
+        config.phase1_mark_divisor,
+    )
     phase_net = Network(graph, programs, seed=0, trace=True)
     phase_net.run_rounds(3 * iterations * rounds_per_iteration)
     print("\n\nPhase I of Algorithm 1 (awake only at schedule slots, '#'):\n")

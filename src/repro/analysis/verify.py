@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
 import networkx as nx
+import numpy as np
+
+from ..congest.vectorized import GraphArrays
 
 
 @dataclass
@@ -64,10 +67,44 @@ def is_maximal_independent_set(graph: nx.Graph, candidate: Set[int]) -> bool:
     )
 
 
+def _array_check(graph: GraphArrays, candidate: Set[int]):
+    """``(conflicts, uncovered)`` of a candidate on a CSR graph, by mask
+    and edge-array operations over the graph's own adjacency.
+
+    Conflicts come in ascending (node, neighbor) rank order, uncovered
+    nodes in rank order (``graph.nodes`` order, as the dict walk gives).
+    """
+    unknown = [node for node in candidate if node not in graph]
+    if unknown:
+        raise KeyError(f"candidate node {unknown[0]} not in graph")
+    chosen = graph.rank_mask(candidate)
+    source, target = graph.edge_source, graph.indices
+    on_edge = chosen[source]
+    clash = on_edge & chosen[target] & (source < target)
+    covered = chosen.copy()
+    covered[target[on_edge]] = True
+    nodes = graph.nodes
+    conflicts = [
+        (nodes[u], nodes[v])
+        for u, v in zip(source[clash].tolist(), target[clash].tolist())
+    ]
+    uncovered = [nodes[i] for i in np.flatnonzero(~covered).tolist()]
+    return conflicts, uncovered
+
+
 def verify_mis(graph: nx.Graph, candidate: Set[int]) -> MISReport:
-    """Full report: independence violations and uncovered nodes."""
-    conflicts = _conflicting_edges(graph, candidate)
-    uncovered = uncovered_nodes(graph, candidate)
+    """Full report: independence violations and uncovered nodes.
+
+    A :class:`~repro.congest.vectorized.GraphArrays` input is checked with
+    array operations over its own CSR; a ``networkx`` input by walking its
+    adjacency dicts, so that check stays independent of the CSR the
+    algorithms ran on.
+    """
+    if isinstance(graph, GraphArrays):
+        conflicts, uncovered = _array_check(graph, candidate)
+    else:
+        conflicts = _conflicting_edges(graph, candidate)
+        uncovered = uncovered_nodes(graph, candidate)
     return MISReport(
         independent=not conflicts,
         maximal=not conflicts and not uncovered,

@@ -25,6 +25,8 @@ are bit-vectors with one bit per execution.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import List, Optional, Set, Tuple
 
 import networkx as nx
@@ -38,6 +40,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
+from ..congest.program import population_groups, set_outputs
 from ..congest.vectorized import VectorRound
 from ..result import MISResult
 
@@ -48,6 +51,8 @@ JOINED = 1
 REMOVED = 2
 
 _MIN_DESIRE = 2.0**-60  # numeric floor; reached only after 60 halvings
+
+_SHAPE_SIGNATURE = attrgetter("iterations", "executions")
 
 
 class GhaffariProgram(NodeProgram):
@@ -97,11 +102,23 @@ class GhaffariProgram(NodeProgram):
     def _iteration_of(self, round_index: int) -> int:
         return round_index // 2
 
-    def on_start(self, ctx):
-        ctx.output["in_mis"] = False
-        if self.iterations == 0:
-            ctx.output["status"] = tuple(int(s) for s in self.status)
-            ctx.halt()
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Every node starts outside the MIS (one output-table write); a
+        zero-iteration budget halts its nodes at once, reporting their
+        initial status."""
+        set_outputs(network, ranks, in_mis=False)
+        for template, group in population_groups(
+            network, ranks, _SHAPE_SIGNATURE
+        ):
+            if template.iterations == 0:
+                nodes = network._labels_of(group)
+                programs = network.programs
+                set_outputs(network, group, status=[
+                    tuple(int(s) for s in programs[node].status)
+                    for node in nodes
+                ])
+                network._halt_many(nodes)
 
     def on_round(self, ctx):
         if ctx.round % 2 == _MARK:
@@ -171,13 +188,13 @@ class GhaffariProgram(NodeProgram):
         whole-network when every node runs the same ``(iterations,
         executions)`` configuration (the kernel stores per-execution state
         as ``(n, executions)`` columns, so the shape must be uniform)."""
-        programs = [network.programs[node] for node in network.graph.nodes]
-        first = programs[0]
-        signature = (first.iterations, first.executions)
-        for program in programs[1:]:
-            if (program.iterations, program.executions) != signature:
-                return None
-        return _GhaffariVectorRound(network)
+        groups = population_groups(
+            network, np.arange(network.graph.number_of_nodes()),
+            _SHAPE_SIGNATURE,
+        )
+        if len(groups) > 1:
+            return None
+        return _GhaffariVectorRound(network, groups[0][0])
 
 
 class _GhaffariVectorRound(VectorRound):
@@ -202,14 +219,16 @@ class _GhaffariVectorRound(VectorRound):
       ``on_receive`` fires even with an empty inbox).
     """
 
+    def __init__(self, network, template):
+        super().__init__(network)
+        self.executions = template.executions
+        self.iterations = template.iterations
+
     def load(self) -> None:
         arrays = self.arrays
         network = self.network
         n = arrays.n
-        first = network.programs[arrays.nodes[0]]
-        executions = first.executions
-        self.executions = executions
-        self.iterations = first.iterations
+        executions = self.executions
         self.alive = self.arrays.rank_mask(network._always_on)
         columns = self.state_columns
         self.status = columns["status"].copy()
@@ -322,11 +341,11 @@ class _GhaffariVectorRound(VectorRound):
             finish = alive & ~(self.status == ACTIVE).any(axis=1)
         finish_idx = np.nonzero(finish)[0]
         if finish_idx.size:
-            status = self.status
-            for i in finish_idx:
-                output = self.output_of(i)
-                output["in_mis"] = bool(status[i, 0] == JOINED)
-                output["status"] = tuple(int(s) for s in status[i])
+            finished = self.status[finish_idx]
+            set_outputs(
+                self.network, finish_idx, in_mis=finished[:, 0] == JOINED,
+                status=list(map(tuple, finished.tolist())),
+            )
             alive[finish_idx] = False
             self._alive_neighbors = (
                 self._alive_neighbors - arrays.neighbor_count(finish)
@@ -346,9 +365,8 @@ def ghaffari_mis(
     """Run Ghaffari's algorithm to completion (single execution) as a
     baseline, under ``options`` (engine, channel, node faults,
     instrument)."""
-    programs = {node: GhaffariProgram() for node in graph.nodes}
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
+        graph, GhaffariProgram, seed=seed, ledger=ledger, size_bound=size_bound,
         channel=options.channel, instrument=options.instrument,
         faults=options.faults,
     )
@@ -372,21 +390,13 @@ def ghaffari_shatter(
     the nodes still undecided after the budget (the "shattered" residue),
     and the network (for metrics inspection).
     """
-    programs = {
-        node: GhaffariProgram(iterations=iterations) for node in graph.nodes
-    }
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
-        channel=options.channel, instrument=options.instrument,
-        faults=options.faults,
+        graph, partial(GhaffariProgram, iterations=iterations), seed=seed,
+        ledger=ledger, size_bound=size_bound, channel=options.channel,
+        instrument=options.instrument, faults=options.faults,
     )
     network.run(max_rounds=10 * iterations + 16, engine=options.engine)
-    joined = set()
-    undecided = set()
-    for node in graph.nodes:
-        program = programs[node]
-        if program.status[0] == JOINED:
-            joined.add(node)
-        elif program.status[0] == ACTIVE:
-            undecided.add(node)
+    status = network.state_columns["status"][:, 0]
+    joined = set(network._labels_of(np.flatnonzero(status == JOINED)))
+    undecided = set(network._labels_of(np.flatnonzero(status == ACTIVE)))
     return joined, undecided, network

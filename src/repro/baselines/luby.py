@@ -30,6 +30,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
+from ..congest.program import set_outputs
 from ..congest.vectorized import VectorRound, int_bit_length
 from ..result import MISResult
 
@@ -67,8 +68,10 @@ class LubyProgram(NodeProgram):
             StateField("pending_retirement", np.bool_),
         )
 
-    def on_start(self, ctx):
-        ctx.output["in_mis"] = False
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Every node starts outside the MIS: one output-table write."""
+        set_outputs(network, ranks, in_mis=False)
 
     # ------------------------------------------------------------------
     def _priority(self, degree: int, node: int) -> Tuple[int, int]:
@@ -225,12 +228,15 @@ class _LubyVectorRound(VectorRound):
             if next_phase == _RESOLVE
             else None
         )
+        # A program never built is a fresh one: it believes its whole
+        # neighborhood active and has heard no marks.
+        built = network.programs.built()
         for i, node in enumerate(nodes):
             if not self.alive[i]:
                 continue
-            program = network.programs[node]
+            program = built.get(node)
             start, end = int(indptr[i]), int(indptr[i + 1])
-            believed = program.active_neighbors
+            believed = None if program is None else program.active_neighbors
             if believed is None:
                 # Lazy sentinel: the node still believes its whole
                 # neighborhood is active.
@@ -238,7 +244,7 @@ class _LubyVectorRound(VectorRound):
             else:
                 for e in range(start, end):
                     edge_live[e] = nodes[indices[e]] in believed
-            if mark_keep is not None:
+            if mark_keep is not None and program is not None:
                 # Mid-cycle engagement between MARK and RESOLVE: the mark
                 # announcements were delivered (and filtered) by the scalar
                 # wrapper; replay the survivors as this cycle's MARK mask.
@@ -361,11 +367,9 @@ class _LubyVectorRound(VectorRound):
         winners = self.marked & (self.state == 0) & (rival < key)
         winner_idx = np.nonzero(winners)[0]
         round_index = self.network.round_index
-        for i in winner_idx:
-            self.state[i] = 1
-            output = self.output_of(i)
-            output["in_mis"] = True
-            output["decided_round"] = round_index
+        self.state[winner_idx] = 1
+        set_outputs(self.network, winner_idx, in_mis=True,
+                    decided_round=round_index)
         if faulty:
             resolve_keep = self.fault_keep()
             self.count_broadcasts(
@@ -398,8 +402,8 @@ class _LubyVectorRound(VectorRound):
         removed = heard & (self.state == 0)
         self.pending[removed] = True
         self.state[removed] = 2
-        for i in np.nonzero(removed)[0]:
-            self.output_of(i)["decided_round"] = round_index
+        set_outputs(self.network, np.flatnonzero(removed),
+                    decided_round=round_index)
         alive[winner_idx] = False
         self.halt_ranks(winner_idx)
 
@@ -447,9 +451,8 @@ def luby_mis(
     rounds/energy are unchanged); the radio ``"broadcast"`` channel is
     unsound for Luby (adjacent marked nodes never hear each other).
     """
-    programs = {node: LubyProgram() for node in graph.nodes}
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=size_bound,
+        graph, LubyProgram, seed=seed, ledger=ledger, size_bound=size_bound,
         channel=options.channel, instrument=options.instrument,
         faults=options.faults,
     )

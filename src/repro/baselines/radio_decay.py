@@ -159,11 +159,10 @@ def radio_decay_mis(
     same program on reliable point-to-point delivery (useful as an
     ablation of collision cost).
     """
-    programs = {node: RadioDecayProgram() for node in graph.nodes}
     channel = options.channel
     network = Network(
         graph,
-        programs,
+        RadioDecayProgram,
         seed=seed,
         ledger=ledger,
         size_bound=size_bound,
@@ -180,8 +179,6 @@ def radio_decay_mis(
         details={
             "channel": network.channel.name,
             "collisions": network.collisions,
-            "epoch_slots": (
-                next(iter(programs.values())).epoch_len if programs else 0
-            ),
+            "epoch_slots": network.programs[network._node_order[0]].epoch_len,
         },
     )

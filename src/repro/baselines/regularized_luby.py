@@ -21,6 +21,8 @@ Engine mapping: two sub-rounds per round (mark / join).
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 import networkx as nx
@@ -34,12 +36,17 @@ from ..congest import (
     RunOptions,
     StateField,
 )
+from ..congest.program import population_groups, set_outputs
 from ..congest.vectorized import VectorRound
 from ..graphs.properties import max_degree
 from ..result import MISResult
 
 _MARK = 0
 _JOIN = 1
+
+_SCHEDULE_SIGNATURE = attrgetter(
+    "iterations", "rounds_per_iteration", "delta", "mark_divisor"
+)
 
 
 class RegularizedLubyProgram(NodeProgram):
@@ -63,8 +70,10 @@ class RegularizedLubyProgram(NodeProgram):
             StateField("saw_marked_neighbor", np.bool_),
         )
 
-    def on_start(self, ctx):
-        ctx.output["in_mis"] = False
+    @classmethod
+    def start_population(cls, network, ranks):
+        """Every node starts outside the MIS: one output-table write."""
+        set_outputs(network, ranks, in_mis=False)
 
     def _probability(self, algo_round: int) -> float:
         # The iteration index clamps at the top: after the scheduled
@@ -111,15 +120,13 @@ class RegularizedLubyProgram(NodeProgram):
         faithful when every node shares the schedule (as the
         ``regularized_luby_mis`` driver guarantees).
         """
-        programs = iter(network.programs.values())
-        template = next(programs)
-        schedule = (template.iterations, template.rounds_per_iteration,
-                    template.delta, template.mark_divisor)
-        for program in programs:
-            if (program.iterations, program.rounds_per_iteration,
-                    program.delta, program.mark_divisor) != schedule:
-                return None
-        return _RegularizedLubyVectorRound(network)
+        groups = population_groups(
+            network, np.arange(network.graph.number_of_nodes()),
+            _SCHEDULE_SIGNATURE,
+        )
+        if len(groups) > 1:
+            return None
+        return _RegularizedLubyVectorRound(network, groups[0][0])
 
 
 class _RegularizedLubyVectorRound(VectorRound):
@@ -128,9 +135,9 @@ class _RegularizedLubyVectorRound(VectorRound):
     The marking probability is a *global* function of the algorithm round
     (no per-node degree), so one scalar probability gates a whole draw
     column; every live node draws once each MARK sub-round, exactly like
-    the scalar loop.  All schedule parameters are identical across nodes
-    by construction (one factory builds every program), so they are read
-    from an arbitrary instance.
+    the scalar loop.  The capability hook checks that every node shares
+    the schedule parameters and hands the kernel one program carrying
+    them (the population's template).
 
     Channel faults are simpler here than in classic Luby: the marking
     probability carries no degree belief, so a fault only filters which
@@ -138,6 +145,10 @@ class _RegularizedLubyVectorRound(VectorRound):
     are computed through the round's keep mask, and accounting moves the
     destroyed copies to the dropped counter.  The clean path is untouched.
     """
+
+    def __init__(self, network, template):
+        super().__init__(network)
+        self._template = template
 
     def load(self) -> None:
         arrays = self.arrays
@@ -147,7 +158,6 @@ class _RegularizedLubyVectorRound(VectorRound):
         self.marked = columns["marked"].copy()
         self.saw_marked = columns["saw_marked_neighbor"].copy()
         self.joined = columns["joined"].copy()
-        self._template = next(iter(network.programs.values()))
         # Valid at any engagement boundary: nobody halts between a MARK
         # and its JOIN, so live-neighbor counts are cycle-stable.  From
         # here the count is maintained *incrementally* — JOIN subtracts
@@ -199,8 +209,7 @@ class _RegularizedLubyVectorRound(VectorRound):
         alive = self.alive
         winners = alive & self.marked & ~self.saw_marked
         self.joined |= winners
-        for i in np.nonzero(winners)[0]:
-            self.output_of(i)["in_mis"] = True
+        set_outputs(self.network, np.flatnonzero(winners), in_mis=True)
         keep = self.fault_keep() if self.faults is not None else None
         if keep is not None:
             self.count_broadcasts(winners, alive, self.one_bit, keep=keep)
@@ -239,12 +248,11 @@ def regularized_luby_mis(
     delta = max_degree(graph)
     iterations = max(1, math.ceil(math.log2(max(2, delta))))
     rounds_per_iteration = max(1, round(round_factor * math.log2(max(2, n))))
-    programs = {
-        node: RegularizedLubyProgram(iterations, rounds_per_iteration, delta)
-        for node in graph.nodes
-    }
     network = Network(
-        graph, programs, seed=seed, ledger=ledger, size_bound=n,
+        graph,
+        partial(RegularizedLubyProgram, iterations, rounds_per_iteration,
+                delta),
+        seed=seed, ledger=ledger, size_bound=n,
         channel=options.channel, instrument=options.instrument,
         faults=options.faults,
     )

@@ -41,7 +41,6 @@ from .network import (
     ENGINE_MODES,
     Network,
     RunOptions,
-    run_uniform_program,
 )
 from .program import Context, NodeProgram
 from .state import StateField
@@ -93,5 +92,4 @@ __all__ = [
     "make_channel",
     "payload_bits",
     "payload_bits_cached",
-    "run_uniform_program",
 ]

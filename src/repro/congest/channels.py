@@ -347,6 +347,7 @@ class CongestChannel(Channel):
             self._build_slots()
         network = self._network
         contexts = network.contexts
+        halted = network._halted
         payloads_flat = self._payloads
         occupied = self._occupied
         dirty = self._dirty
@@ -369,7 +370,7 @@ class CongestChannel(Channel):
                 if bits > max_bits:
                     max_bits = bits
                 for receiver, slot in pairs:
-                    if receiver in awake and not contexts[receiver]._halted:
+                    if receiver in awake and receiver not in halted:
                         payloads_flat[slot] = bcast
                         occupied[slot] = 1
                         dirty.append(slot)
@@ -389,7 +390,7 @@ class CongestChannel(Channel):
                     bits_total += bits
                     if bits > max_bits:
                         max_bits = bits
-                    if receiver in awake and not contexts[receiver]._halted:
+                    if receiver in awake and receiver not in halted:
                         slot = slots[receiver]
                         payloads_flat[slot] = payload
                         occupied[slot] = 1
@@ -532,7 +533,7 @@ class BroadcastChannel(Channel):
         from .vectorized import graph_arrays
 
         network = self._network
-        contexts = network.contexts
+        halted = network._halted
         ledger = network.ledger
         inboxes: Dict[int, List[Message]] = {}
         arrays = graph_arrays(network)
@@ -563,7 +564,7 @@ class BroadcastChannel(Channel):
             node = nodes[i]
             if node in transmitters or node not in awake:
                 continue  # half-duplex / asleep: hears nothing
-            if contexts[node]._halted:
+            if node in halted:
                 continue
             heard = int(counts[i])
             if heard == 1:

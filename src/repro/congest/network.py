@@ -29,9 +29,16 @@ rounds:
   population start hook lays a whole program class's wakes down in one
   :meth:`Network._schedule_population` call, one calendar entry at a time
   rather than one ``(node, round)`` pair at a time;
+* a uniform population (``Network(graph, ProgramClass)``) costs no
+  Python object per node: state columns are filled from one template
+  instance, the halted set, always-awake set and output table live on
+  the network and are written in bulk, and a node's program and
+  :class:`~repro.congest.program.Context` are built only when scalar
+  code first touches them;
 * pending wake rounds live in a min-heap (``_wake_heap``), so finding the
   next event and :meth:`Network.has_pending_work` are O(1) amortized:
-  halting only sets a flag, and a peek drops the halted nodes it meets
+  halting only adds the node to the halted set, and a peek drops the
+  halted nodes it meets
   from the entry it looks at, so each ``(node, round)`` pair is dropped
   at most once;
 * when no node is in always-awake mode, :meth:`Network.run` fast-forwards
@@ -67,13 +74,15 @@ without them never vectorizes.
 from __future__ import annotations
 
 import heapq
+from collections.abc import ItemsView, KeysView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from ..obs.instrument import NULL_INSTRUMENT, resolve_instrument
+from ..obs.profiler import section_scope
 from .channels import ChannelSpec, make_channel
 from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
@@ -138,6 +147,57 @@ class RunOptions:
 DEFAULT_OPTIONS = RunOptions()
 
 
+class _NodeTable(dict):
+    """Node -> per-node object for every node of one network, each object
+    built by ``build(node)`` on its first lookup.
+
+    A lookup of a built object is a plain dict hit, so the scalar round
+    loops pay nothing for the laziness. Iteration, ``len``, membership and
+    the ``keys``/``values``/``items`` views cover every node of the
+    network (in rank order), building whatever is still missing — so
+    library code that must not build objects reads :meth:`built` instead.
+    """
+
+    __slots__ = ("_network", "_build")
+
+    def __init__(self, network: "Network", build):
+        super().__init__()
+        self._network = network
+        self._build = build
+
+    def __missing__(self, node):
+        if node not in self._network.graph:
+            raise KeyError(node)
+        value = self._build(node)
+        dict.__setitem__(self, node, value)
+        return value
+
+    def __iter__(self):
+        return iter(self._network._node_order)
+
+    def __len__(self) -> int:
+        return len(self._network._node_order)
+
+    def __contains__(self, node) -> bool:
+        return node in self._network.graph
+
+    def keys(self):
+        return KeysView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    def items(self):
+        return ItemsView(self)
+
+    def get(self, node, default=None):
+        return self[node] if node in self else default
+
+    def built(self) -> Dict[Any, Any]:
+        """The objects built so far, by node (a snapshot)."""
+        return dict(dict.items(self))
+
+
 class Network:
     """Simulate node programs on an undirected graph.
 
@@ -151,7 +211,17 @@ class Network:
         must be hashable; they are used directly as identifiers (MIS
         algorithms assume unique IDs).
     programs:
-        Mapping from node to its :class:`NodeProgram` instance.
+        The population: a zero-argument program factory — a
+        :class:`NodeProgram` subclass or a ``functools.partial`` of one —
+        that every node runs (a uniform population), or a mapping from
+        node to its own :class:`NodeProgram` instance (any population).
+        A factory is called once up front for a *template* instance,
+        whose ``__init__`` values fill the state columns in one array
+        write per field; a node's own instance is built (bound to its
+        column row, which it does not overwrite) only when scalar code
+        first reads ``network.programs[node]``, and likewise its
+        :class:`Context` on the first ``network.contexts[node]``. A
+        population that runs vectorized therefore builds neither.
     seed:
         Master seed keying every node's random stream (see
         :mod:`repro.congest.streams`), so it reproduces a run bit-for-bit.
@@ -169,19 +239,25 @@ class Network:
         Observer for run/round/phase events (see :mod:`repro.obs`).
         Defaults to the shared null instrument. Whether the network is
         observed is decided once here, so the disabled path costs the hot
-        loop only a couple of ``is not None`` checks per round.
+        loop only a couple of ``is not None`` checks per round. A
+        profiler times the construction itself as section ``construct``.
     faults:
         Optional node-fault timeline (a :class:`repro.faults.FaultPlan`)
         injected through the step loop: crashes halt their node at the
         scheduled round, stragglers are forced asleep for their duration.
         An empty plan costs the step loop nothing (no injector is
         installed at all).
+
+    The engine's own per-node state lives here, not on the contexts: the
+    halted set ``_halted``, the always-awake set ``_always_on``, and the
+    output table ``_output_table`` (``key -> {node: value}``, which
+    ``ctx.output`` views one row of and :meth:`outputs` reads per key).
     """
 
     def __init__(
         self,
         graph: nx.Graph,
-        programs: Dict[int, NodeProgram],
+        programs: Union[Mapping[Any, NodeProgram], Callable[[], NodeProgram]],
         *,
         seed: int = 0,
         bit_budget: Optional[int] = None,
@@ -194,15 +270,20 @@ class Network:
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty graph")
-        missing = [v for v in graph.nodes if v not in programs]
-        if missing:
-            raise ValueError(f"no program for nodes {missing[:5]}...")
+        self.instrument = resolve_instrument(instrument)
+        self._observed = self.instrument is not NULL_INSTRUMENT
+        self._profiler = self.instrument.profiler if self._observed else None
+        with section_scope(self._profiler, "construct"):
+            self._construct(graph, programs, seed, bit_budget, ledger,
+                            size_bound, trace, channel, faults)
 
+    def _construct(self, graph, programs, seed, bit_budget, ledger,
+                   size_bound, trace, channel, faults) -> None:
         self.graph = graph
         #: Node labels in ascending order — the canonical rank order shared
         #: by the random streams, state-column rows, and the CSR adjacency.
         self._node_order = (
-            list(graph.nodes)
+            graph.nodes
             if isinstance(graph, GraphArrays)
             else sorted(graph.nodes)
         )
@@ -210,15 +291,33 @@ class Network:
         self.bit_budget = (
             bit_budget if bit_budget is not None else default_bit_budget(self.n)
         )
-        self.programs = programs
-        template = next(iter(programs.values()))
-        #: The one program class every node runs, or None for a mixed
-        #: population.
-        self._program_class = (
-            type(template)
-            if all(type(p) is type(template) for p in programs.values())
-            else None
-        )
+        self._ranks: Optional[Dict[Any, int]] = None
+        self._output_table: Dict[str, Dict[Any, Any]] = {}
+        self._halted: Set[Any] = set()
+        self.programs = _NodeTable(self, self._build_program)
+        self.contexts = _NodeTable(self, self._build_context)
+        #: A uniform population's factory and its template instance (one
+        #: call of the factory, never bound to a node); None for a mapping.
+        self._factory = None
+        self._template = None
+        if isinstance(programs, Mapping):
+            missing = [v for v in graph.nodes if v not in programs]
+            if missing:
+                raise ValueError(f"no program for nodes {missing[:5]}...")
+            first = next(iter(programs.values()))
+            #: The one program class every node runs, or None for a mixed
+            #: population.
+            self._program_class = (
+                type(first)
+                if all(type(p) is type(first) for p in programs.values())
+                else None
+            )
+            for node in self._node_order:
+                dict.__setitem__(self.programs, node, programs[node])
+        else:
+            self._factory = programs
+            self._template = programs()
+            self._program_class = type(self._template)
         self.ledger = ledger if ledger is not None else EnergyLedger(graph.nodes)
         self.round_index = -1
 
@@ -230,10 +329,6 @@ class Network:
         self.collisions = 0
 
         self.streams = NodeStreams(seed, len(self._node_order))
-        self.contexts: Dict[int, Context] = {
-            node: Context(self, node, rank, self.n)
-            for rank, node in enumerate(self._node_order)
-        }
 
         #: Flat per-field state columns when the programs declare a schema
         #: (see :mod:`repro.congest.state`), else None (plain instance
@@ -249,7 +344,7 @@ class Network:
         # them (:meth:`_entry_is_live`).
         self._wake_calendar: Dict[int, Set[int]] = {}
         self._wake_heap: List[int] = []
-        self._always_on: Set[int] = set(self.contexts)
+        self._always_on: Set[int] = set(self._node_order)
         # (sorted list, snapshot set) of the always-on nodes, rebuilt only
         # when membership changes; mid-round changes leave the round's local
         # references pointing at the old snapshot, which is exactly the
@@ -259,9 +354,6 @@ class Network:
         self.channel = make_channel(channel)
         self.channel.bind(self)
         self._fault_injector = faults.bind(self) if faults is not None else None
-        self.instrument = resolve_instrument(instrument)
-        self._observed = self.instrument is not NULL_INSTRUMENT
-        self._profiler = self.instrument.profiler if self._observed else None
         #: Rounds executed by the vectorized dense-round path (see
         #: ``repro.congest.vectorized``); 0 when it never engaged.
         self.vector_rounds = 0
@@ -274,15 +366,42 @@ class Network:
             self.trace = None
 
     # ------------------------------------------------------------------
-    # State columns and adjacency views
+    # Populations, state columns and adjacency views
     # ------------------------------------------------------------------
+    def _rank_of(self, node) -> int:
+        graph = self.graph
+        if isinstance(graph, GraphArrays):
+            return graph.rank[node]
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = {
+                label: rank for rank, label in enumerate(self._node_order)
+            }
+        return ranks[node]
+
+    def _build_program(self, node) -> NodeProgram:
+        """A uniform population's instance for ``node``, bound to the
+        node's column row as it stands (its staged ``__init__`` values
+        are the template's, which the row started from)."""
+        program = self._factory()
+        if self.state_columns is not None:
+            bind_state(program, self.state_columns, self._rank_of(node),
+                       keep_row=True)
+        return program
+
+    def _build_context(self, node) -> Context:
+        return Context(self, node, self._rank_of(node), self.n)
+
     def _allocate_state_columns(self) -> None:
         """Allocate + bind schema-declared state columns, when possible.
 
         Columns bind only for a homogeneous program population with a
         non-empty schema whose string widths agree across nodes; any other
         population keeps plain instance attributes (the descriptors'
-        unbound path) and runs on the scalar loops.
+        unbound path) and runs on the scalar loops. A factory-built
+        population fills every row from its template; a mapping's
+        instances are bound one by one, each popping its staged values
+        into its row.
         """
         cls = self._program_class
         if cls is None:
@@ -290,17 +409,24 @@ class Network:
         schema = cls.state_schema()
         if not schema:
             return
+        n = len(self._node_order)
+        template = self._template
+        if template is not None:
+            self.state_columns = allocate_columns(
+                schema, template, n, staged=template.__dict__
+            )
+            return
         programs = self.programs
-        template = next(iter(programs.values()))
+        template = programs[self._node_order[0]]
         for field in schema:
             if isinstance(field.width, str):
                 width = getattr(template, field.width)
                 if any(
                     getattr(p, field.width) != width
-                    for p in programs.values()
+                    for p in programs.built().values()
                 ):
                     return
-        columns = allocate_columns(schema, template, len(self._node_order))
+        columns = allocate_columns(schema, template, n)
         for rank, node in enumerate(self._node_order):
             bind_state(programs[node], columns, rank)
         self.state_columns = columns
@@ -342,10 +468,7 @@ class Network:
         once per distinct key and each of its rounds takes the key's whole
         group into the calendar in one set update.
         """
-        contexts = self.contexts
         sleepers = self._labels_of(ranks)
-        for node in sleepers:
-            contexts[node]._always_awake = False
         self._always_on.difference_update(sleepers)
         self._always_view = None
         by_key = np.argsort(keys, kind="stable")
@@ -388,18 +511,16 @@ class Network:
             self._always_view = None
 
     def _halt_many(self, halting) -> None:
-        """Halt every node in ``halting`` — exactly ``Context.halt`` per
-        node, with the per-node method dispatch inlined into one pass (the
-        vectorized engine's bulk-halt path; a dense JOIN round can retire
+        """Halt every node in the collection ``halting``: it joins the
+        halted set and leaves always-awake mode (``Context.halt`` is the
+        one-node call; a dense JOIN round of the vectorized engine retires
         thousands of nodes at once). Calendar entries stay; peeks drop
         halted nodes lazily."""
-        contexts = self.contexts
+        self._halted.update(halting)
         always_on = self._always_on
-        for node in halting:
-            contexts[node]._halted = True
-            if node in always_on:
-                always_on.discard(node)
-                self._always_view = None
+        if not always_on.isdisjoint(halting):
+            always_on.difference_update(halting)
+            self._always_view = None
 
     def _entry_is_live(self, wake_round: int) -> bool:
         """Whether the calendar entry at ``wake_round`` still holds a
@@ -413,10 +534,10 @@ class Network:
         entry = self._wake_calendar.get(wake_round)
         if entry is None:
             return False
-        contexts = self.contexts
+        halted = self._halted
         dead = []
         for node in entry:
-            if not contexts[node]._halted:
+            if node not in halted:
                 if dead:
                     entry.difference_update(dead)
                 return True
@@ -483,12 +604,9 @@ class Network:
         # scheduled node wakes this round (the common case for always-on
         # algorithms like Luby).
         scheduled = self._wake_calendar.pop(self.round_index, None)
+        halted = self._halted
         if scheduled:
-            awake = set(self._always_on)
-            for node in scheduled:
-                ctx = self.contexts[node]
-                if not ctx._halted and not ctx._always_awake:
-                    awake.add(node)
+            awake = self._always_on | (scheduled - halted)
             ordered = sorted(awake)
         else:
             ordered, awake = self._always_on_view()
@@ -536,11 +654,10 @@ class Network:
             prof.end()
             prof.begin("receive")
         for node in ordered:
-            ctx = contexts[node]
-            if not ctx._halted:
+            if node not in halted:
                 inbox = inboxes.get(node)
                 programs[node].on_receive(
-                    ctx, inbox if inbox is not None else []
+                    contexts[node], inbox if inbox is not None else []
                 )
         channel.finish_round()
         if prof is not None:
@@ -622,7 +739,9 @@ class Network:
         if cache is None:
             runner = None
             reason = "no program declares the vectorized-round capability"
-            cls = type(next(iter(self.programs.values())))
+            cls = self._program_class or type(
+                self.programs[self._node_order[0]]
+            )
             factory = getattr(cls, "vector_round", None)
             if callable(factory):
                 obstacle = self.channel.vector_obstacle()
@@ -784,34 +903,11 @@ class Network:
         )
 
     def outputs(self, key: str, default=None) -> Dict[int, object]:
-        """Collect one output field across all nodes."""
-        return {
-            node: ctx.output.get(key, default)
-            for node, ctx in self.contexts.items()
-        }
-
-
-def run_uniform_program(
-    graph: nx.Graph,
-    program_factory,
-    *,
-    seed: int = 0,
-    max_rounds: int = 1_000_000,
-    bit_budget: Optional[int] = None,
-    ledger: Optional[EnergyLedger] = None,
-    size_bound: Optional[int] = None,
-    channel: ChannelSpec = None,
-) -> Tuple[Network, RunMetrics]:
-    """Convenience: run one program class on every node of ``graph``."""
-    programs = {node: program_factory() for node in graph.nodes}
-    network = Network(
-        graph,
-        programs,
-        seed=seed,
-        bit_budget=bit_budget,
-        ledger=ledger,
-        size_bound=size_bound,
-        channel=channel,
-    )
-    metrics = network.run(max_rounds=max_rounds)
-    return network, metrics
+        """Collect one output field across all nodes (``default`` where a
+        node never set it), in rank order: one read of the output table's
+        column for ``key``."""
+        collected = dict.fromkeys(self._node_order, default)
+        column = self._output_table.get(key)
+        if column is not None:
+            collected.update(column)
+        return collected

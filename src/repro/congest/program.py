@@ -1,10 +1,15 @@
 """Node-program API for the CONGEST-with-sleeping engine.
 
-A distributed algorithm is written as a :class:`NodeProgram` subclass; the
-engine instantiates one program per node. Programs see only local
-information: their identifier, their neighbors' identifiers, a polynomial
-bound ``n`` on the network size (standard in the model), a private random
-stream (``ctx.rng``), and the messages delivered to them while awake.
+A distributed algorithm is written as a :class:`NodeProgram` subclass.
+A network runs one program per node, built from a zero-argument factory
+(the class, or a ``functools.partial`` of it) for a uniform population or
+taken from a node -> instance mapping for a mixed one; a uniform
+population's instances and contexts are only built for the
+nodes scalar code touches (see :class:`~repro.congest.network.Network`).
+Programs see only local information: their identifier, their neighbors'
+identifiers, a polynomial bound ``n`` on the network size (standard in
+the model), a private random stream (``ctx.rng``), and the messages
+delivered to them while awake.
 
 Sleeping semantics (Section 1.1 of the paper):
 
@@ -32,6 +37,7 @@ population in array passes instead of one ``on_start`` call per node.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +54,48 @@ from .streams import NodeRandom
 NO_BROADCAST = object()
 
 
+class OutputRow(MutableMapping):
+    """One node's row of a network's output table: ``ctx.output``.
+
+    The network keeps outputs per key (``key -> {node: value}``, see
+    :meth:`Network.outputs <repro.congest.network.Network.outputs>`), so
+    whole-population writes and reads are one dict operation per key;
+    this view lets scalar hooks keep writing ``ctx.output[key] = value``.
+    """
+
+    __slots__ = ("_table", "_node")
+
+    def __init__(self, table: Dict[str, Dict[Any, Any]], node: Any):
+        self._table = table
+        self._node = node
+
+    def __getitem__(self, key: str) -> Any:
+        return self._table[key][self._node]
+
+    def get(self, key: str, default: Any = None) -> Any:
+        column = self._table.get(key)
+        return default if column is None else column.get(self._node, default)
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        column = self._table.get(key)
+        if column is None:
+            column = self._table[key] = {}
+        column[self._node] = value
+
+    def __delitem__(self, key: str) -> None:
+        del self._table[key][self._node]
+
+    def __iter__(self):
+        node = self._node
+        return (key for key, column in self._table.items() if node in column)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class Context:
     """Per-node view of the network, handed to every program callback."""
 
@@ -60,8 +108,6 @@ class Context:
         "_rank",
         "_rng",
         "output",
-        "_halted",
-        "_always_awake",
         "_outbox",
         "_sent_to",
         "_bcast",
@@ -79,9 +125,7 @@ class Context:
         self.n = n
         self._rank = rank
         self._rng: Optional[NodeRandom] = None
-        self.output: Dict[str, Any] = {}
-        self._halted = False
-        self._always_awake = True
+        self.output = OutputRow(network._output_table, node)
         self._outbox: List[Tuple[int, Any]] = []
         self._sent_to: set = set()
         self._bcast: Any = NO_BROADCAST
@@ -128,7 +172,7 @@ class Context:
 
     @property
     def halted(self) -> bool:
-        return self._halted
+        return self.node in self._network._halted
 
     # ------------------------------------------------------------------
     # Communication
@@ -162,7 +206,6 @@ class Context:
         May be called in ``on_start`` (typical: Lemma 2.5 schedules) or while
         awake, to extend the schedule with *future* rounds.
         """
-        self._always_awake = False
         self._network._set_always_awake(self.node, False)
         current = self.round
         for wake_round in rounds:
@@ -178,8 +221,7 @@ class Context:
 
     def stay_awake(self) -> None:
         """Return to the default mode: awake every round until halting."""
-        if not self._halted:
-            self._always_awake = True
+        if self.node not in self._network._halted:
             self._network._set_always_awake(self.node, True)
 
     def halt(self) -> None:
@@ -188,8 +230,7 @@ class Context:
         Its still-scheduled wake rounds stay in the calendar; the engine
         drops halted nodes from an entry when it next looks at it.
         """
-        self._halted = True
-        self._network._set_always_awake(self.node, False)
+        self._network._halt_many((self.node,))
 
     # ------------------------------------------------------------------
     # Engine plumbing
@@ -214,12 +255,18 @@ class Context:
 
 
 def population_groups(network: Any, ranks: np.ndarray, signature):
-    """Split a population by parameter signature, for start hooks.
+    """Split a population by parameter signature, for start hooks and
+    kernel homogeneity checks.
 
     Returns ``(template, group_ranks)`` pairs in first-seen order, where
     every program at ``group_ranks`` has ``signature(program) ==
-    signature(template)``; a uniform population is one pair.
+    signature(template)``; a uniform population is one pair. A network
+    built from a program factory is uniform by construction and answers
+    with its template without building a single program.
     """
+    template = network._template
+    if template is not None:
+        return [(template, ranks)]
     programs = network.programs
     order = network._node_order
     members = [programs[order[rank]] for rank in ranks.tolist()]
@@ -254,14 +301,21 @@ def store_state(
 
 def set_outputs(network: Any, ranks: np.ndarray, **columns) -> None:
     """Set ``ctx.output[key] = value`` for the nodes at ``ranks``, one
-    keyword per output key holding a value array parallel to ``ranks``
-    (keys are written in keyword order)."""
-    order = network._node_order
-    contexts = network.contexts
-    names = list(columns)
-    rows = zip(*(columns[name].tolist() for name in names))
-    for rank, row in zip(ranks.tolist(), rows):
-        contexts[order[rank]].output.update(zip(names, row))
+    keyword per output key: a numpy array or list parallel to ``ranks``,
+    or any other value, which every node at ``ranks`` gets. Writes go
+    straight into the network's output table, one dict update per key."""
+    labels = network._labels_of(ranks)
+    table = network._output_table
+    for name, values in columns.items():
+        column = table.get(name)
+        if column is None:
+            column = table[name] = {}
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if isinstance(values, list):
+            column.update(zip(labels, values))
+        else:
+            column.update(dict.fromkeys(labels, values))
 
 
 class NodeProgram:
@@ -277,6 +331,12 @@ class NodeProgram:
     node's column row, and vector kernels read/write the columns wholesale
     instead of looping over instances. Undeclared attributes keep living in
     the instance ``__dict__`` as before.
+
+    A class run as a uniform population (``Network(graph, Class)``) must
+    build identical instances on every call: the network fills the
+    columns from one template instance and builds a node's own instance
+    only when scalar code first asks for it, so an instance that was
+    never built is exactly a fresh one with its column row.
     """
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -313,7 +373,11 @@ class NodeProgram:
         ranks in ``network``) before round 0.
 
         The default runs :meth:`on_start` node by node and rejects a node
-        that sent. A class whose start is local sampling plus a wake
+        that sent, so it builds every node's program and context. A class
+        with a vectorized kernel overrides it with array writes (outputs
+        through :func:`set_outputs`, state through :func:`store_state`),
+        so a uniform population that runs vectorized builds none. A class
+        whose start is local sampling plus a wake
         schedule overrides this to draw the population's samples with
         :meth:`NodeStreams.take <repro.congest.streams.NodeStreams.take>`
         and lay the calendar down with ``Network._schedule_population``;

@@ -25,7 +25,10 @@ constants.
 Before a program is bound to a network (i.e. during ``__init__``), the
 descriptors stage assignments in the instance ``__dict__`` exactly as
 plain attributes would; :func:`bind_state` then pops the staged values
-into the node's column rows.  Unbinding (when a program instance is moved
+into the node's column rows. A uniform population skips the per-node
+pass: :func:`allocate_columns` fills every row from one template's
+staged values, and an instance built later for one node is bound with
+``keep_row`` (its staged values, the template's, are dropped).  Unbinding (when a program instance is moved
 to another network) materializes the rows back into the ``__dict__`` so
 no state is lost.  The unbound path also serves populations the network
 cannot bind to one schema (mixed program classes, or string widths that
@@ -168,40 +171,49 @@ def resolve_width(field: StateField, template: Any) -> int:
 
 
 def allocate_columns(
-    schema: Tuple[StateField, ...], template: Any, n: int
+    schema: Tuple[StateField, ...], template: Any, n: int,
+    staged: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Allocate default-filled columns for ``n`` nodes of one schema."""
+    """Allocate columns for ``n`` nodes of one schema, every row filled
+    with ``staged[name]`` where given (a uniform population's template
+    values, one array write per field), else the schema default."""
+    staged = staged or {}
     columns: Dict[str, np.ndarray] = {}
     for field in schema:
         dtype = np.dtype(field.dtype)
+        fill = staged.get(field.name, field.default)
         if field.width is None:
-            column = np.full(n, field.default, dtype=dtype)
+            column = np.full(n, fill, dtype=dtype)
         else:
-            column = np.full(
-                (n, resolve_width(field, template)), field.default,
-                dtype=dtype,
-            )
+            column = np.empty((n, resolve_width(field, template)), dtype=dtype)
+            column[:] = fill
         columns[field.name] = column
     return columns
 
 
 def bind_state(
-    program: Any, columns: Dict[str, np.ndarray], rank: int
+    program: Any, columns: Dict[str, np.ndarray], rank: int,
+    *, keep_row: bool = False,
 ) -> None:
     """Attach ``program`` to row ``rank`` of the shared columns.
 
     Values staged in the instance ``__dict__`` (assigned before bind,
     typically in ``__init__``) are popped into the row; fields never
-    assigned keep the schema default already in the column.  A program
-    bound to an earlier network is transparently unbound first, so its
-    state follows the instance.
+    assigned keep the schema default already in the column. With
+    ``keep_row`` the staged values are dropped instead: the row already
+    holds the node's state (a uniform population's program built after
+    its columns were filled and possibly run). A program bound to an
+    earlier network is transparently unbound first, so its state follows
+    the instance.
     """
     d = program.__dict__
     if "_state_columns" in d:
         unbind_state(program)
     for name, column in columns.items():
         if name in d:
-            column[rank] = d.pop(name)
+            value = d.pop(name)
+            if not keep_row:
+                column[rank] = value
     d["_state_columns"] = columns
     d["_state_rank"] = rank
 

@@ -108,10 +108,11 @@ class GraphArrays:
         n = len(nodes)
         identity = _is_identity(nodes)
         # Vectorized CSR build: the adjacency rows, read in sorted-label
-        # order, stream straight into one flat target array; the shared
-        # build then sorts each row. Graphs labelled 0..n-1 (every
-        # generated family) are their own rank map, so the targets need no
-        # per-entry dict lookup.
+        # order, stream straight into one flat target array, already
+        # grouped by source; the shared build sorts only if some row is
+        # out of order. Graphs labelled 0..n-1 (every generated family)
+        # are their own rank map, so the targets need no per-entry dict
+        # lookup.
         adj = graph.adj
         rows = [adj[node] for node in nodes]
         counts = np.fromiter(map(len, rows), dtype=np.int64, count=n)
@@ -122,21 +123,29 @@ class GraphArrays:
             targets = map(rank.__getitem__, targets)
         target = np.fromiter(targets, dtype=np.int64, count=int(counts.sum()))
         source = np.repeat(np.arange(n, dtype=np.int64), counts)
-        self._init_csr(nodes, source, target, n, identity)
+        self._init_csr(nodes, source, target, n, identity, degrees=counts)
         self._rank = rank
 
-    def _init_csr(self, nodes, source, target, n, identity) -> None:
+    def _init_csr(self, nodes, source, target, n, identity,
+                  degrees=None) -> None:
         """Shared CSR build from rank-indexed directed endpoint arrays.
 
         One sort of the combined ``source * n + target`` key groups the
-        entries by source with sorted targets inside each row.
+        entries by source with sorted targets inside each row. Callers
+        whose entries are already grouped by ascending source pass the
+        row ``degrees``; the sort then runs only if one O(m) comparison
+        finds a row whose targets are out of order.
         """
         key = source * n + target
-        key.sort()
+        if degrees is None or bool((key[1:] <= key[:-1]).any()):
+            key.sort()
+            target = key % n
+        if degrees is None:
+            degrees = np.bincount(source, minlength=n)
         self.nodes = nodes
         self._rank = None
-        self.indices = key % n
-        self.degrees = np.bincount(source, minlength=n).astype(np.int64)
+        self.indices = target
+        self.degrees = degrees.astype(np.int64, copy=False)
         self.indptr = np.concatenate((
             np.zeros(1, dtype=np.int64), np.cumsum(self.degrees)
         ))
@@ -191,12 +200,16 @@ class GraphArrays:
             labels = ranks.tolist()
         else:
             labels = [self.nodes[i] for i in ranks.tolist()]
+        # Kept rows stay grouped and in order, and relabelling is
+        # monotone, so the shared build skips its sort.
+        source = np.repeat(np.arange(k, dtype=np.int64), lengths)[inside]
         sub._init_csr(
             labels,
-            np.repeat(np.arange(k, dtype=np.int64), lengths)[inside],
+            source,
             new_rank[targets[inside]],
             k,
             _is_identity(labels),
+            degrees=np.bincount(source, minlength=k),
         )
         return sub
 
@@ -425,10 +438,12 @@ class VectorRound:
     resume bit-identically).
 
     The base class owns the shared plumbing: lazily-accumulated energy
-    charges (flushed to the :class:`EnergyLedger` in node order), halt
-    propagation through the real :class:`Context` (so the engine's
-    wake bookkeeping stays consistent), trace records, and engagement
-    statistics.
+    charges (flushed to the :class:`EnergyLedger` in node order), halts
+    through the network's halted set (so the engine's wake bookkeeping
+    stays consistent), trace records, and engagement statistics. Kernels
+    write outputs with :func:`~repro.congest.program.set_outputs`, one
+    table update per key and round, and never build a node's
+    :class:`Context` or program.
     """
 
     def __init__(self, network):
@@ -462,10 +477,10 @@ class VectorRound:
         self._instrument = network.instrument if network._observed else None
         self._profiler = network._profiler
         self._last_alive = 0
-        #: Lazily-built (always_on, always_awake, halted) rank masks for
-        #: the batched awake-set assembly; valid for one engagement only
-        #: (scalar rounds in between may change any of the three), so
-        #: :meth:`flush` drops them.
+        #: Lazily-built (always_on, halted) rank masks for the batched
+        #: awake-set assembly; valid for one engagement only (scalar
+        #: rounds in between may change either), so :meth:`flush` drops
+        #: them.
         self._sched_masks = None
         _VECTOR_STATS["networks"] += 1
 
@@ -510,12 +525,11 @@ class VectorRound:
             # Group by amount: an engagement produces only a handful of
             # distinct awake totals, so a few charge_many passes beat one
             # charge call per node.
-            ledger = self.network.ledger
-            nodes = self.arrays.nodes
+            network = self.network
             amounts = pending[charged]
             for value in np.unique(amounts):
-                ledger.charge_many(
-                    (nodes[int(i)] for i in charged[amounts == value]),
+                network.ledger.charge_many(
+                    network._labels_of(charged[amounts == value]),
                     int(value),
                 )
             pending[:] = 0
@@ -528,9 +542,8 @@ class VectorRound:
         """This round's awake set as a rank mask, consuming the calendar.
 
         Matches the scalar :meth:`Network.step` assembly: the current
-        round's calendar entry is popped, halted and always-awake nodes
-        are filtered out of the scheduled portion, and the always-on set
-        is unioned in.  The filters run as numpy gathers over three rank
+        round's calendar entry is popped, the always-on set is unioned in
+        and halted nodes are filtered out.  The filter runs over two rank
         masks built once per engagement (halts during the engagement only
         arrive through :meth:`halt_ranks`, which updates the halted mask
         in place).  The calendar is round-keyed only, so popping the
@@ -542,7 +555,7 @@ class VectorRound:
         masks = self._sched_masks
         if masks is None:
             masks = self._sched_masks = self._build_sched_masks()
-        always_on, always_awake, halted = masks
+        always_on, halted = masks
         awake = np.zeros(arrays.n, dtype=bool)
         scheduled = network._wake_calendar.pop(network.round_index, None)
         if scheduled:
@@ -557,27 +570,18 @@ class VectorRound:
                     dtype=np.int64,
                     count=len(scheduled),
                 )
-            awake[ranks[~(halted[ranks] | always_awake[ranks])]] = True
+            awake[ranks] = True
         awake |= always_on
         awake &= ~halted
         return awake
 
     def _build_sched_masks(self):
-        """Snapshot (always_on, always_awake, halted) as rank masks."""
+        """Snapshot (always_on, halted) as rank masks."""
         network = self.network
         arrays = self.arrays
-        n = arrays.n
-        always_on = arrays.rank_mask(network._always_on)
-        always_awake = np.zeros(n, dtype=bool)
-        halted = np.zeros(n, dtype=bool)
-        contexts = network.contexts
-        for i, node in enumerate(arrays.nodes):
-            ctx = contexts[node]
-            if ctx._always_awake:
-                always_awake[i] = True
-            if ctx._halted:
-                halted[i] = True
-        return always_on, always_awake, halted
+        return arrays.rank_mask(network._always_on), arrays.rank_mask(
+            network._halted
+        )
 
     def fault_keep(self) -> Optional[np.ndarray]:
         """This round's per-slot delivery mask, or None when nothing drops."""
@@ -597,17 +601,12 @@ class VectorRound:
             self._last_alive = int(np.count_nonzero(alive))
 
     def halt_ranks(self, ranks: np.ndarray) -> None:
-        """Halt nodes through the network's bulk-halt pass (event-sparse:
-        each node halts at most once per run, so the loop is O(n) overall;
-        the effect per node is exactly ``Context.halt``)."""
-        nodes = self.arrays.nodes
-        self.network._halt_many(nodes[int(i)] for i in ranks)
+        """Halt nodes through the network's bulk-halt pass (the effect
+        per node is exactly ``Context.halt``)."""
+        self.network._halt_many(self.network._labels_of(ranks))
         masks = self._sched_masks
         if masks is not None:
-            masks[2][ranks] = True
-
-    def output_of(self, rank: int) -> Dict:
-        return self.network.contexts[self.arrays.nodes[int(rank)]].output
+            masks[1][ranks] = True
 
     def record_trace(self, alive: np.ndarray, sent: int, delivered: int,
                      dropped: int) -> None:

@@ -32,6 +32,7 @@ leftovers).
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -260,11 +261,13 @@ class Lemma42Program(NodeProgram):
         """Engine capability hook: one flat column set per network needs
         every node to share the phase parameters (``run_lemma42`` always
         builds them that way; hand-built heterogeneous networks decline)."""
-        programs = network.programs.values()
-        first = _LEMMA42_SIGNATURE(next(iter(programs)))
-        if any(_LEMMA42_SIGNATURE(program) != first for program in programs):
+        groups = population_groups(
+            network, np.arange(network.graph.number_of_nodes()),
+            _LEMMA42_SIGNATURE,
+        )
+        if len(groups) > 1:
             return None
-        return _Lemma42VectorRound(network)
+        return _Lemma42VectorRound(network, groups[0][0])
 
 
 class _Lemma42VectorRound(VectorRound):
@@ -293,8 +296,11 @@ class _Lemma42VectorRound(VectorRound):
       after the last iteration every awake node does.
     """
 
+    def __init__(self, network, template):
+        super().__init__(network)
+        self.template = template
+
     def load(self) -> None:
-        self.template = self.network.programs[self.arrays.nodes[0]]
         columns = self.state_columns
         self.sampled_iteration = columns["sampled_iteration"].copy()
         self.sampled_round = columns["sampled_round"].copy()
@@ -338,8 +344,8 @@ class _Lemma42VectorRound(VectorRound):
             else:
                 joiners = acting & active & ~self.saw_marked
                 self.joined |= joiners
-                for i in np.nonzero(joiners)[0]:
-                    self.output_of(i)["joined"] = True
+                set_outputs(self.network, np.flatnonzero(joiners),
+                            joined=True)
                 heard = self.broadcast_wave(joiners, awake, keep)
                 self.dominated |= awake & ~self.joined & (heard > 0)
         elif block_step == 0:
@@ -359,8 +365,7 @@ class _Lemma42VectorRound(VectorRound):
                 iteration, self.spoiled_count, self.nonspoiled_count
             )
             self.failed |= failing
-            for i in np.nonzero(failing)[0]:
-                self.output_of(i)["failed"] = True
+            set_outputs(self.network, np.flatnonzero(failing), failed=True)
             self.broadcast_wave(failing, awake, keep)
             if iteration + 1 >= template.iterations:
                 self.halt_ranks(np.nonzero(awake)[0])
@@ -435,11 +440,9 @@ def run_lemma42(
             residual=graph_csr(graph),
         )
 
-    programs = {
-        node: Lemma42Program(iterations, rounds_per_iteration, delta2,
-                             config, n)
-        for node in graph.nodes
-    }
+    programs = partial(
+        Lemma42Program, iterations, rounds_per_iteration, delta2, config, n
+    )
     result, _ = run_network_phase(
         graph, programs, iterations * (2 * rounds_per_iteration + 3),
         seed=seed, ledger=ledger, size_bound=n, set_aside="failed",
@@ -491,11 +494,10 @@ def run_sparsify(
     rounds_per_iteration = max(
         2, math.ceil(config.sparsify_round_factor * loglog2n(n))
     )
-    programs = {
-        node: Phase1Alg1Program(iterations, rounds_per_iteration,
-                                max(1, degree), 10.0)
-        for node in graph.nodes
-    }
+    programs = partial(
+        Phase1Alg1Program, iterations, rounds_per_iteration, max(1, degree),
+        10.0,
+    )
     result, _ = run_network_phase(
         graph, programs, 3 * iterations * rounds_per_iteration, seed=seed,
         ledger=ledger, size_bound=n, handoff_round=True, bystanders=failed,

@@ -35,6 +35,7 @@ an earlier-acting neighbor delivered the neighbor's outcome.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -266,8 +267,7 @@ class _Phase1Alg1VectorRound(VectorRound):
                 & ~self.saw_marked
             )
             self.joined |= joiners
-            for i in np.nonzero(joiners)[0]:
-                self.output_of(i)["joined"] = True
+            set_outputs(self.network, np.flatnonzero(joiners), joined=True)
             self._join_wave(joiners, awake, keep)
 
     def _join_wave(
@@ -321,12 +321,10 @@ def run_phase1_alg1(
             residual=graph_csr(graph),
         )
 
-    programs = {
-        node: Phase1Alg1Program(
-            iterations, rounds_per_iteration, delta, config.phase1_mark_divisor
-        )
-        for node in graph.nodes
-    }
+    programs = partial(
+        Phase1Alg1Program, iterations, rounds_per_iteration, delta,
+        config.phase1_mark_divisor,
+    )
     result, network = run_network_phase(
         graph, programs, 3 * total_rounds, seed=seed, ledger=ledger,
         size_bound=n, handoff_round=True, options=options,

@@ -38,6 +38,7 @@ cap ``R ≤ 4·Δ^0.1`` — the cap is inactive in the paper's regime (there
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Set
 
@@ -84,6 +85,17 @@ def sampling_rounds(n: int, delta: int, config: AlgorithmConfig) -> int:
     base = config.alg2_rounds(n)
     cap = max(4, math.ceil(4.0 * delta**0.1))
     return min(base, cap)
+
+
+def _kernel_signature(program):
+    """What one flat column set needs every node to share."""
+    return (
+        program.delta,
+        program.rounds,
+        program.high_threshold,
+        program.config.alg2_tag_exponent,
+        program.config.alg2_mark_exponent,
+    )
 
 
 _ALG2_SIGNATURE = attrgetter(
@@ -315,25 +327,13 @@ class Phase1Alg2Program(NodeProgram):
         """Engine capability hook: one flat column set per network needs
         every node to share the iteration parameters (the drivers always
         build them that way; hand-built heterogeneous networks decline)."""
-        programs = list(network.programs.values())
-        first = programs[0]
-        signature = (
-            first.delta,
-            first.rounds,
-            first.high_threshold,
-            first.config.alg2_tag_exponent,
-            first.config.alg2_mark_exponent,
+        groups = population_groups(
+            network, np.arange(network.graph.number_of_nodes()),
+            _kernel_signature,
         )
-        for program in programs:
-            if (
-                program.delta,
-                program.rounds,
-                program.high_threshold,
-                program.config.alg2_tag_exponent,
-                program.config.alg2_mark_exponent,
-            ) != signature:
-                return None
-        return _Phase1Alg2VectorRound(network)
+        if len(groups) > 1:
+            return None
+        return _Phase1Alg2VectorRound(network, groups[0][0])
 
 
 class _Phase1Alg2VectorRound(VectorRound):
@@ -351,8 +351,8 @@ class _Phase1Alg2VectorRound(VectorRound):
     * domination does **not** halt during the sampling rounds (a dominated
       node keeps its remaining wake appointments and simply stops acting);
       halting happens only in the end block (step 0 listeners and the
-      final step-3 teardown), which the kernel drives through the real
-      contexts so the calendar stays consistent.
+      final step-3 teardown), which the kernel drives through the
+      network's halted set so the calendar stays consistent.
 
     The duel at the JOIN sub-round compares the receiver's tagged-neighbor
     count against the max over the mark announcements it *heard* — kept as
@@ -361,16 +361,18 @@ class _Phase1Alg2VectorRound(VectorRound):
     JOIN (the one boundary where the scalar path would read it).
     """
 
+    def __init__(self, network, template):
+        super().__init__(network)
+        config = template.config
+        self.rounds = template.rounds
+        self.tag_factor = template.delta**config.alg2_tag_exponent
+        self.mark_numerator = 2.0 * template.delta**config.alg2_mark_exponent
+        self.high_threshold = template.high_threshold
+
     def load(self) -> None:
         arrays = self.arrays
         network = self.network
         n = arrays.n
-        first = network.programs[arrays.nodes[0]]
-        config = first.config
-        self.rounds = first.rounds
-        self.tag_factor = first.delta**config.alg2_tag_exponent
-        self.mark_numerator = 2.0 * first.delta**config.alg2_mark_exponent
-        self.high_threshold = first.high_threshold
         self.rival_max = np.full(n, -1, dtype=np.int64)
         columns = self.state_columns
         self.tag_round = columns["tag_round"].copy()
@@ -384,10 +386,13 @@ class _Phase1Alg2VectorRound(VectorRound):
         self.active_nonspoiled = columns["active_nonspoiled"].copy()
         self.high = columns["high"].copy()
         self.saw_high = columns["saw_high_neighbor"].copy()
-        for i, node in enumerate(arrays.nodes):
-            competitors = network.programs[node].competitors
-            if competitors:
-                self.rival_max[i] = max(competitors)
+        # Only a built program can have heard competitors (a fresh one
+        # holds an empty list).
+        for node, program in network.programs.built().items():
+            if program.competitors:
+                self.rival_max[network._rank_of(node)] = max(
+                    program.competitors
+                )
 
     def flush_state(self) -> None:
         arrays = self.arrays
@@ -490,8 +495,7 @@ class _Phase1Alg2VectorRound(VectorRound):
             if winner_idx.size:
                 self.joined[winner_idx] = True
                 self.join_round[winner_idx] = algo_round
-                for i in winner_idx:
-                    self.output_of(i)["joined"] = True
+                set_outputs(self.network, winner_idx, joined=True)
             self._dominate(winners, awake, keep)
 
     def _dominate(
@@ -553,9 +557,8 @@ class _Phase1Alg2VectorRound(VectorRound):
                 awake & ~self.joined & (heard_counts > 0)
             )
             awake_idx = np.nonzero(awake)[0]
-            joined = self.joined
-            for i in awake_idx:
-                self.output_of(i)["joined"] = bool(joined[i])
+            set_outputs(self.network, awake_idx,
+                        joined=self.joined[awake_idx])
             self.halt_ranks(awake_idx)
 
 
@@ -572,11 +575,8 @@ def run_lemma31_iteration(
     """One Lemma 3.1 iteration on ``graph`` with degree parameter ``delta``."""
     n = size_bound if size_bound is not None else graph.number_of_nodes()
     rounds = sampling_rounds(n, delta, config)
-    programs = {
-        node: Phase1Alg2Program(delta, rounds, config) for node in graph.nodes
-    }
     result, network = run_network_phase(
-        graph, programs, 4 * rounds + 4, seed=seed, ledger=ledger,
+        graph, partial(Phase1Alg2Program, delta, rounds, config), 4 * rounds + 4, seed=seed, ledger=ledger,
         size_bound=n, options=options,
     )
     result.details = {

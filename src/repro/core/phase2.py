@@ -104,8 +104,12 @@ def ball_carving(
             frontier = sorted(candidates)
         choreography.awake_all(unclustered, radius)
 
+        # One grouping pass; members keep ``owner``'s insertion order.
+        members_of: Dict[int, List[int]] = {center: [] for center in centers}
+        for node, center in owner.items():
+            members_of[center].append(node)
         for center in centers:
-            members = [node for node, c in owner.items() if c == center]
+            members = members_of[center]
             tree = RootedTree(
                 root=center,
                 parent={node: parent[node] for node in members},
@@ -157,17 +161,25 @@ def run_phase2(
         ball_carving(residue_graph, radius, choreography) if undecided else {}
     )
 
-    components: List[ClusterState] = []
-    for component in sorted(
+    component_sets = sorted(
         nx.connected_components(residue_graph), key=lambda c: min(c)
-    ):
-        component_graph = induced_subgraph(residue, component).to_networkx()
-        component_trees = {
-            center: tree
-            for center, tree in trees.items()
-            if center in component
-        }
-        components.append(state_from_trees(component_graph, component_trees))
+    )
+    # One grouping pass over the trees; each component's trees keep the
+    # carving's order.
+    index_of = {
+        node: index
+        for index, component in enumerate(component_sets)
+        for node in component
+    }
+    trees_of: List[Dict[int, RootedTree]] = [{} for _ in component_sets]
+    for center, tree in trees.items():
+        trees_of[index_of[center]][center] = tree
+    components: List[ClusterState] = [
+        state_from_trees(
+            induced_subgraph(residue, component).to_networkx(), trees_of[i]
+        )
+        for i, component in enumerate(component_sets)
+    ]
 
     metrics = phase_metrics(
         shatter_rounds + choreography.clock, before, ledger, graph.nodes,

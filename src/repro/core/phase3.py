@@ -24,7 +24,8 @@ component that still fails leaves its undecided nodes in ``remaining``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,32 +49,25 @@ def _run_executions(
     ledger: EnergyLedger,
     size_bound: int,
     options: RunOptions,
-) -> Tuple[Dict[int, GhaffariProgram], RunMetrics]:
+) -> Tuple[np.ndarray, List[int], RunMetrics]:
     """One block of parallel Ghaffari executions on a component; returns
-    the programs and the metrics of the network that ran them."""
-    programs = {
-        node: GhaffariProgram(iterations=iterations, executions=executions)
-        for node in state.graph.nodes
-    }
+    the final ``(nodes, executions)`` status column, the node labels of
+    its rows, and the metrics of the network that ran them."""
     network = Network(
-        state.graph, programs, seed=seed, ledger=ledger,
-        size_bound=size_bound, channel=options.channel,
-        instrument=options.instrument, faults=options.faults,
+        state.graph,
+        partial(GhaffariProgram, iterations=iterations,
+                executions=executions),
+        seed=seed, ledger=ledger, size_bound=size_bound,
+        channel=options.channel, instrument=options.instrument,
+        faults=options.faults,
     )
-    return programs, network.run(
-        max_rounds=10 * iterations + 16, engine=options.engine
-    )
+    run = network.run(max_rounds=10 * iterations + 16, engine=options.engine)
+    return network.state_columns["status"], list(network._node_order), run
 
 
-def _successful_executions(
-    programs: Dict[int, GhaffariProgram], executions: int
-) -> List[int]:
+def _successful_executions(status: np.ndarray) -> List[int]:
     """Executions in which every node of the component is decided."""
-    return [
-        e
-        for e in range(executions)
-        if all(program.status[e] != ACTIVE for program in programs.values())
-    ]
+    return np.flatnonzero((status != ACTIVE).all(axis=0)).tolist()
 
 
 def run_phase3(
@@ -168,10 +162,9 @@ def run_phase3(
         iterations = config.phase3_iterations(len(component_nodes))
         engine_rounds = 0
         winner: Optional[int] = None
-        programs: Dict[int, GhaffariProgram] = {}
         for attempt in range(config.phase3_retries + 1):
             block_seed = _derive_seed(seed, component_id, attempt)
-            programs, run = _run_executions(
+            status, nodes, run = _run_executions(
                 state, executions, iterations, block_seed, ledger, size_bound,
                 options,
             )
@@ -184,30 +177,21 @@ def run_phase3(
             allotment = tree.height + 2
             choreography.convergecast(tree, allotment)
             choreography.broadcast(tree, allotment)
-            successful = _successful_executions(programs, executions)
+            successful = _successful_executions(status)
             if successful:
                 winner = successful[0]
                 break
 
         if winner is None:
             failures += 1
-            undecided = {
-                node
-                for node, program in programs.items()
-                if program.status[0] == ACTIVE
+            first = status[:, 0].tolist()
+            remaining |= {
+                node for node, s in zip(nodes, first) if s == ACTIVE
             }
-            joined |= {
-                node
-                for node, program in programs.items()
-                if program.status[0] == JOINED
-            }
-            remaining |= undecided
+            joined |= {node for node, s in zip(nodes, first) if s == JOINED}
         else:
-            joined |= {
-                node
-                for node, program in programs.items()
-                if program.status[winner] == JOINED
-            }
+            won = status[:, winner].tolist()
+            joined |= {node for node, s in zip(nodes, won) if s == JOINED}
         max_component_rounds = max(
             max_component_rounds, choreography.clock + engine_rounds
         )

@@ -114,7 +114,7 @@ def flagged(network: Network, key: str) -> Set[int]:
 
 def run_network_phase(
     graph,
-    programs: Dict[int, Any],
+    programs,
     rounds: int,
     *,
     seed: int,
@@ -129,8 +129,9 @@ def run_network_phase(
     """Run one network-backed phase on the shared ``ledger`` (a fresh one
     over ``graph`` when ``None``).
 
-    Builds the :class:`~repro.congest.Network` of ``programs`` on
-    ``graph`` under ``options``, runs exactly ``rounds`` engine rounds
+    Builds the :class:`~repro.congest.Network` of ``programs`` (a
+    program factory, or a node -> program mapping) on ``graph`` under
+    ``options``, runs exactly ``rounds`` engine rounds
     and reads the partition off the ``joined`` outputs: a joiner's
     neighbors are dominated, every other node remains. ``handoff_round`` charges (and
     counts) one trailing round in which every node wakes to exchange its

@@ -436,8 +436,7 @@ class AdversarialJammer(FaultChannel):
                 continue
             if region is not None and node not in region:
                 continue
-            ctx = contexts[node]
-            if ctx._halted:
+            if node in network._halted:
                 continue
             inbox = inboxes.pop(node, None)
             if inbox and inbox[0] is COLLISION_MESSAGE:

@@ -217,11 +217,10 @@ class _NetworkFaultInjector:
         due = sorted(t for t in self._by_round if t <= round_index)
         events = [event for t in due for event in self._by_round.pop(t)]
         for event in events:
-            ctx = network.contexts.get(event.node)
-            if ctx is None or ctx._halted:
+            if event.node in network._halted:
                 continue
             if event.kind == CRASH:
-                ctx.halt()
+                network._halt_many((event.node,))
                 self.crashed.add(event.node)
             elif event.kind == STRAGGLE:
                 until = round_index + event.duration
@@ -246,8 +245,7 @@ class _NetworkFaultInjector:
         if not drop:
             return ordered, awake
         for node in drop:
-            ctx = network.contexts[node]
-            if not ctx._always_awake and not ctx._halted:
+            if node not in network._always_on and node not in network._halted:
                 # Scheduled sleepers lose this wake; defer it to the end of
                 # the stall so the node still gets its turn.
                 network._schedule_wake(node, self._stalled[node])

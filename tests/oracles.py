@@ -107,7 +107,7 @@ class PerMessageCongestChannel(CongestChannel):
                 network.total_message_bits += bits
                 if bits > max_bits:
                     max_bits = bits
-                if receiver in awake and not contexts[receiver]._halted:
+                if receiver in awake and receiver not in network._halted:
                     inboxes.setdefault(receiver, []).append(
                         Message(node, payload)
                     )
@@ -138,10 +138,9 @@ class ScalarScanBroadcastChannel(BroadcastChannel):
         for node in sorted(awake):
             if node in transmitters:
                 continue  # half-duplex: transmitters cannot listen
-            ctx = contexts[node]
-            if ctx._halted:
+            if node in network._halted:
                 continue
-            heard = [u for u in ctx.neighbors if u in transmitters]
+            heard = [u for u in contexts[node].neighbors if u in transmitters]
             if not heard:
                 continue
             if len(heard) == 1:

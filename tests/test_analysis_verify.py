@@ -1,5 +1,6 @@
 """Tests for MIS verification, including hypothesis property tests."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from repro.analysis import (
     uncovered_nodes,
     verify_mis,
 )
+from repro.congest.vectorized import GraphArrays
 
 
 class TestIndependence:
@@ -104,3 +106,42 @@ def test_uncovered_nodes_consistency(graph):
         assert victim in set(uncovered_nodes(graph, reduced)) | {
             u for v in reduced for u in graph.neighbors(v)
         }
+
+
+LABELS = {
+    "identity": lambda v: v,
+    "shifted": lambda v: 3 * v + 1,
+    "string": lambda v: f"v{v:02d}",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=random_graphs(),
+    labelling=st.sampled_from(sorted(LABELS)),
+    picks=st.lists(st.integers(min_value=0, max_value=29), max_size=30),
+    unknown=st.booleans(),
+)
+def test_array_check_matches_dict_walk(graph, labelling, picks, unknown):
+    """A ``GraphArrays`` input is checked on its CSR arrays, a networkx
+    input by walking its adjacency; both report the same conflicts,
+    uncovered nodes and verdicts, and both reject unknown labels."""
+    relabel = LABELS[labelling]
+    graph = nx.relabel_nodes(graph, relabel)
+    n = graph.number_of_nodes()
+    candidate = {relabel(v % n) for v in picks}
+    if unknown:
+        candidate.add(relabel(n + 5))
+        with pytest.raises(KeyError):
+            verify_mis(graph, candidate)
+        with pytest.raises(KeyError):
+            verify_mis(GraphArrays(graph), candidate)
+        return
+    walked = verify_mis(graph, candidate)
+    arrays = verify_mis(GraphArrays(graph), candidate)
+    assert arrays.independent == walked.independent
+    assert arrays.maximal == walked.maximal
+    assert arrays.valid == walked.valid
+    assert sorted(arrays.conflicting_edges) == sorted(walked.conflicting_edges)
+    assert arrays.uncovered_nodes == sorted(walked.uncovered_nodes)
+    assert arrays.conflicting_edges == sorted(arrays.conflicting_edges)

@@ -12,7 +12,6 @@ from repro.congest import (
     NotANeighborError,
     SchedulingError,
     SimulationLimitError,
-    run_uniform_program,
 )
 
 
@@ -39,18 +38,20 @@ class BroadcastOnce(NodeProgram):
 
 class TestBasicExecution:
     def test_all_nodes_run_and_halt(self):
-        network, metrics = run_uniform_program(path_graph(), HaltImmediately)
+        network = Network(path_graph(), HaltImmediately)
+        metrics = network.run()
         assert metrics.rounds == 1
         assert all(network.outputs("ran").values())
 
     def test_broadcast_delivered_same_round(self):
-        network, _ = run_uniform_program(path_graph(3), BroadcastOnce)
+        network = Network(path_graph(3), BroadcastOnce)
+        network.run()
         heard = network.outputs("heard")
         assert heard[1] == {0, 2}
         assert heard[0] == {1}
 
     def test_energy_counts_awake_rounds_only(self):
-        _, metrics = run_uniform_program(path_graph(), HaltImmediately)
+        metrics = Network(path_graph(), HaltImmediately).run()
         assert metrics.max_energy == 1
         assert metrics.average_energy == 1.0
 
@@ -102,7 +103,7 @@ class TestSleepingSemantics:
                 ctx.use_wake_schedule([0])  # current round is 0
 
         with pytest.raises(SchedulingError):
-            run_uniform_program(path_graph(2), BadScheduler)
+            Network(path_graph(2), BadScheduler).run()
 
     def test_sending_during_on_start_rejected(self):
         class EagerSender(NodeProgram):
@@ -111,7 +112,7 @@ class TestSleepingSemantics:
                     ctx.send(ctx.neighbors[0], True)
 
         with pytest.raises(SchedulingError):
-            run_uniform_program(path_graph(2), EagerSender)
+            Network(path_graph(2), EagerSender).run()
 
     def test_halted_node_never_wakes_again(self):
         class HaltThenSchedule(NodeProgram):
@@ -122,7 +123,8 @@ class TestSleepingSemantics:
                 elif ctx.round >= 2:
                     ctx.halt()
 
-        network, _ = run_uniform_program(path_graph(2), HaltThenSchedule)
+        network = Network(path_graph(2), HaltThenSchedule)
+        network.run()
         assert network.outputs("rounds")[0] == 1
         assert network.outputs("rounds")[1] == 3
 
@@ -134,7 +136,7 @@ class TestCongestConstraints:
                 ctx.send(ctx.neighbors[0], "x" * 10_000)
 
         with pytest.raises(MessageTooLargeError):
-            run_uniform_program(path_graph(2), BigTalker)
+            Network(path_graph(2), BigTalker).run()
 
     def test_duplicate_edge_message_rejected(self):
         class DoubleSender(NodeProgram):
@@ -143,7 +145,7 @@ class TestCongestConstraints:
                 ctx.send(ctx.neighbors[0], 2)
 
         with pytest.raises(DuplicateMessageError):
-            run_uniform_program(path_graph(2), DoubleSender)
+            Network(path_graph(2), DoubleSender).run()
 
     def test_non_neighbor_rejected(self):
         class LongRangeSender(NodeProgram):
@@ -153,10 +155,11 @@ class TestCongestConstraints:
                 ctx.halt()
 
         with pytest.raises(NotANeighborError):
-            run_uniform_program(path_graph(4), LongRangeSender)
+            Network(path_graph(4), LongRangeSender).run()
 
     def test_max_message_bits_tracked(self):
-        network, metrics = run_uniform_program(path_graph(3), BroadcastOnce)
+        network = Network(path_graph(3), BroadcastOnce)
+        metrics = network.run()
         assert metrics.max_message_bits == 1
         assert metrics.messages_sent == 4
 
@@ -169,8 +172,10 @@ class TestDeterminism:
                 ctx.halt()
 
         g = path_graph(5)
-        net1, _ = run_uniform_program(g, CoinFlipper, seed=42)
-        net2, _ = run_uniform_program(g, CoinFlipper, seed=42)
+        net1 = Network(g, CoinFlipper, seed=42)
+        net1.run()
+        net2 = Network(g, CoinFlipper, seed=42)
+        net2.run()
         assert net1.outputs("coin") == net2.outputs("coin")
 
     def test_different_seed_different_run(self):
@@ -180,8 +185,10 @@ class TestDeterminism:
                 ctx.halt()
 
         g = path_graph(5)
-        net1, _ = run_uniform_program(g, CoinFlipper, seed=1)
-        net2, _ = run_uniform_program(g, CoinFlipper, seed=2)
+        net1 = Network(g, CoinFlipper, seed=1)
+        net1.run()
+        net2 = Network(g, CoinFlipper, seed=2)
+        net2.run()
         assert net1.outputs("coin") != net2.outputs("coin")
 
     def test_per_node_rngs_are_independent(self):
@@ -190,7 +197,8 @@ class TestDeterminism:
                 ctx.output["coin"] = int(ctx.rng.integers(0, 2**30))
                 ctx.halt()
 
-        net, _ = run_uniform_program(path_graph(8), CoinFlipper, seed=7)
+        net = Network(path_graph(8), CoinFlipper, seed=7)
+        net.run()
         coins = list(net.outputs("coin").values())
         assert len(set(coins)) > 1
 
@@ -224,7 +232,8 @@ class TestRunControl:
                 ctx.output["woke_at"] = ctx.round
                 ctx.halt()
 
-        network, metrics = run_uniform_program(path_graph(2), LateWaker)
+        network = Network(path_graph(2), LateWaker)
+        metrics = network.run()
         assert metrics.rounds == 11
         assert metrics.max_energy == 1
         assert network.outputs("woke_at") == {0: 10, 1: 10}

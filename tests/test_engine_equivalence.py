@@ -346,6 +346,83 @@ class TestStateColumns:
         assert hybrid.ledger.snapshot() == reference.ledger.snapshot()
 
 
+class TestConstructionForm:
+    """A uniform population built from a program factory and the same
+    population given as a node -> instance mapping are one construction
+    path: every kernel-bearing class runs bit-identically in both forms,
+    and the factory form builds a node's program and context only when
+    scalar code touches the node."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast", "vectorized"])
+    @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+    def test_factory_and_mapping_forms_identical(self, program, engine):
+        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
+        make = kernel_programs(graph)[program]
+        runs = {}
+        for form in ("factory", "mapping"):
+            population = (
+                make if form == "factory"
+                else {v: make() for v in graph.nodes}
+            )
+            network = Network(graph, population, seed=11, trace=True)
+            with engine_path(engine) as path:
+                metrics = network.run(engine=path)
+            runs[form] = (
+                metrics,
+                network.ledger.snapshot(),
+                network._output_table,
+                network.streams.counters.tolist(),
+                set(network._halted),
+                network.trace.awake_counts(),
+            )
+            if engine == "vectorized":
+                assert network.vector_rounds > 0, form
+        assert runs["factory"] == runs["mapping"]
+
+    def test_vectorized_luby_builds_no_per_node_objects(self, monkeypatch):
+        """An array-native Luby run on the vectorized engine builds no
+        Context and no program beyond the factory's template; a scalar
+        step afterwards builds objects for exactly the nodes it touches."""
+        from repro.congest import program as program_module
+
+        built = {"contexts": 0, "programs": 0}
+        context_init = program_module.Context.__init__
+        luby_init = LubyProgram.__init__
+
+        def counting_context(self, *args):
+            built["contexts"] += 1
+            context_init(self, *args)
+
+        def counting_luby(self):
+            built["programs"] += 1
+            luby_init(self)
+
+        monkeypatch.setattr(program_module.Context, "__init__",
+                            counting_context)
+        monkeypatch.setattr(LubyProgram, "__init__", counting_luby)
+        graph = graphs.make_family(
+            "gnp_log_degree", 2000, seed=1, as_arrays=True
+        )
+        result = run_algorithm("luby", graph, seed=1, engine="vectorized")
+        assert result.mis
+        assert built == {"contexts": 0, "programs": 1}
+
+        built.update(contexts=0, programs=0)
+        network = Network(graph, LubyProgram, seed=1)
+        network.run_rounds(3, engine="vectorized")
+        # The flush hands every live node its neighbor beliefs, which
+        # builds exactly the live nodes' programs (the template is one).
+        live = set(network._always_on)
+        assert live
+        assert set(network.programs.built()) == live
+        assert built == {"contexts": 0, "programs": 1 + len(live)}
+        awake = network.step()
+        assert awake == live
+        assert set(network.contexts.built()) == awake
+        assert set(network.programs.built()) == awake
+        assert built == {"contexts": len(awake), "programs": 1 + len(live)}
+
+
 class TestScheduleAwareKernels:
     """Sleep-schedule (wake-calendar) coverage for the paper's kernels.
 

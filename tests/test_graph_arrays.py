@@ -69,6 +69,36 @@ class TestBuild:
         shuffled.add_edges_from((v, u) for u, v in reversed(list(graph.edges)))
         assert_same_csr(GraphArrays(shuffled), GraphArrays(graph))
 
+    @pytest.mark.parametrize("labelling", sorted(LABELLINGS) + ["string"])
+    def test_unsorted_rows_match_sorted_build(self, labelling):
+        """Adjacency rows that arrive out of order (edges added in
+        descending order) take the sorting build; rows that arrive in
+        order skip the sort. Both must give the same arrays."""
+        relabel = LABELLINGS.get(labelling, lambda v: f"n{v:03d}")
+        base = graphs.gnp_expected_degree(50, 6.0, seed=7)
+        edges = sorted(
+            tuple(sorted((relabel(u), relabel(v)))) for u, v in base.edges
+        )
+        labels = sorted(relabel(v) for v in base.nodes)
+        ascending, descending = nx.Graph(), nx.Graph()
+        ascending.add_nodes_from(labels)
+        ascending.add_edges_from(edges)
+        descending.add_nodes_from(labels)
+        descending.add_edges_from(reversed(edges))
+        assert all(
+            list(ascending.adj[v]) == sorted(ascending.adj[v]) for v in labels
+        )
+        assert any(
+            list(descending.adj[v]) != sorted(descending.adj[v])
+            for v in labels
+        )
+        assert_same_csr(GraphArrays(descending), GraphArrays(ascending))
+        if labelling == "identity":
+            head, tail = map(np.array, zip(*edges))
+            assert_same_csr(
+                GraphArrays(ascending), GraphArrays.from_edges(50, head, tail)
+            )
+
     def test_matches_edge_list_build(self):
         graph = graphs.gnp_expected_degree(80, 8.0, seed=5)
         head, tail = map(np.array, zip(*graph.edges))

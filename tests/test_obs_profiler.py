@@ -5,6 +5,7 @@ import json
 import networkx as nx
 import pytest
 
+from repro import graphs
 from repro.harness import run_algorithm
 from repro.obs import Profiler, render_profile, section_scope
 
@@ -107,6 +108,16 @@ class TestRunAlgorithmProfile:
         assert profile["wall_s"] > 0
         names = {node["name"] for node in profile["sections"]}
         assert "round" in names or "vector_round" in names
+
+    def test_construction_section(self):
+        graph = graphs.make_family(
+            "gnp_log_degree", 300, seed=2, as_arrays=True
+        )
+        result = run_algorithm("luby", graph, seed=1, profile=True)
+        construct = _find(result.details["profile"]["sections"], "construct")
+        assert construct is not None
+        assert construct["calls"] == 1
+        assert construct["total_s"] > 0
 
     def test_no_profile_by_default(self):
         graph = nx.gnp_random_graph(30, 0.1, seed=5)

@@ -93,9 +93,7 @@ def _state(network):
         },
         "heap": sorted(set(network._wake_heap)),
         "always_on": set(network._always_on),
-        "always_awake": [
-            network.contexts[node]._always_awake for node in order
-        ],
+        "halted": set(network._halted),
         "counters": network.streams.counters.tolist(),
         "outputs": [network.contexts[node].output for node in order],
         "columns": (
