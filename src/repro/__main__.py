@@ -10,8 +10,6 @@ Examples::
     python -m repro --algorithm luby --faults drop=0.1,crash=0.05,seed=7
     python -m repro -a luby --seeds 50 -j 4 --checkpoint cp.jsonl --resume
     python -m repro report runs.jsonl
-    python -m repro lint src/repro
-    python -m repro lint --explain RL101
     python -m repro --list
     python -m repro dynamic --workload sensor_battery_decay -a algorithm1
     python -m repro dynamic --workload link_flap --strategy full_recompute
@@ -573,22 +571,12 @@ def _report_main(argv) -> int:
     return 0
 
 
-def _lint_main(argv) -> int:
-    # Imported here, not at module top: the analyzer is pure stdlib-ast
-    # tooling that plain runs never need.
-    from .lint.cli import main as lint_main
-
-    return lint_main(argv)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "dynamic":
         return _dynamic_main(argv[1:])
     if argv and argv[0] == "report":
         return _report_main(argv[1:])
-    if argv and argv[0] == "lint":
-        return _lint_main(argv[1:])
     return _static_main(argv)
 
 

@@ -64,5 +64,8 @@ class VectorizationError(CongestError):
 
     Raised by ``Network.run(engine="vectorized")`` when no program
     capability / compatible channel is available, so a forced vectorized
-    run never *silently* degrades to the cached round loop.
+    run never *silently* degrades to the cached round loop. Raised on
+    every engine mode when a program breaks the kernel contract: its
+    ``vector_round`` returns something other than a kernel, or a hook
+    added state that a kernel engagement would not carry.
     """

@@ -88,9 +88,9 @@ from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import Context, NodeProgram
-from .state import allocate_columns, bind_state
+from .state import allocate_columns, bind_state, resolve_width
 from .streams import NodeStreams
-from .vectorized import GraphArrays
+from .vectorized import GraphArrays, VectorRound
 
 #: Engine paths selectable per run (``Network.run(engine=...)``):
 #:
@@ -334,6 +334,10 @@ class Network:
         #: (see :mod:`repro.congest.state`), else None (plain instance
         #: attributes; such a network never vectorizes).
         self.state_columns = None
+        #: Instance-dict names a program may hold when a kernel engages:
+        #: the ones set before any hook ran (see
+        #: :meth:`_refuse_undeclared_state`).
+        self._init_names: frozenset = frozenset()
         self._allocate_state_columns()
 
         # Wake bookkeeping: nodes in always-awake mode run every round;
@@ -415,14 +419,17 @@ class Network:
             self.state_columns = allocate_columns(
                 schema, template, n, staged=template.__dict__
             )
+            self._init_names = frozenset(
+                ("_state_columns", "_state_rank", *template.__dict__)
+            )
             return
         programs = self.programs
         template = programs[self._node_order[0]]
         for field in schema:
             if isinstance(field.width, str):
-                width = getattr(template, field.width)
+                width = resolve_width(field, template)
                 if any(
-                    getattr(p, field.width) != width
+                    resolve_width(field, p) != width
                     for p in programs.built().values()
                 ):
                     return
@@ -430,6 +437,24 @@ class Network:
         for rank, node in enumerate(self._node_order):
             bind_state(programs[node], columns, rank)
         self.state_columns = columns
+        self._init_names = frozenset().union(*map(vars, dict.values(programs)))
+
+    def _refuse_undeclared_state(self) -> None:
+        """Refuse a kernel engagement while a built program holds a name
+        that is neither a schema field nor set by ``__init__`` (one a hook
+        added). Kernels load and flush only the columns and ``__init__``
+        state, so that name would split the scalar and vectorized paths.
+        Runs once per engagement, over the programs built so far."""
+        names = self._init_names
+        for node, program in dict.items(self.programs):
+            extra = program.__dict__.keys() - names
+            if extra:
+                raise VectorizationError(
+                    f"{type(program).__name__} at node {node!r} holds "
+                    f"{sorted(extra)}, neither a schema field nor set by "
+                    f"__init__: declare it in state_schema() or set it in "
+                    f"__init__"
+                )
 
     def _neighbors_of(self, node) -> Tuple[int, ...]:
         """Ascending neighbor tuple of one node (Context's lazy backing)."""
@@ -765,6 +790,12 @@ class Network:
                     # the actual instances, e.g. heterogeneous schedule
                     # parameters that one flat column cannot represent.
                     runner = factory(self)
+                    if not isinstance(runner, (VectorRound, type(None))):
+                        raise VectorizationError(
+                            f"{cls.__name__}.vector_round returned a "
+                            f"{type(runner).__name__}, not a VectorRound "
+                            f"or None"
+                        )
                     reason = (
                         ""
                         if runner is not None

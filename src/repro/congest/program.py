@@ -97,7 +97,12 @@ class OutputRow(MutableMapping):
 
 
 class Context:
-    """Per-node view of the network, handed to every program callback."""
+    """Per-node view of the network, handed to every program callback.
+
+    A network builds one ``Context`` per node, on first use, and hands
+    that same object to every callback of the node for the network's
+    lifetime (``network.contexts``); no context is ever recycled.
+    """
 
     __slots__ = (
         "_network",

@@ -61,12 +61,32 @@ class StateField:
     instance ``__dict__`` until bind) overrides it per node.  ``width``
     makes the column 2-D ``(n, width)``; a string names the program
     attribute holding the width.
+
+    A ``default`` the dtype cannot hold is refused here, at class
+    creation: allocation would otherwise fail (``-1`` in ``uint32``) or
+    silently change it (``7`` in ``bool`` is stored as ``True``).
     """
 
     name: str
     dtype: Any
     default: Any = 0
     width: Optional[Union[int, str]] = None
+
+    def __post_init__(self) -> None:
+        default = self.default
+        try:
+            cast = np.dtype(self.dtype).type(default)
+            # NaN never equals itself, yet survives a float column.
+            fits = bool(cast == default or (
+                cast != cast and default != default
+            ))
+        except (OverflowError, TypeError, ValueError):
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"StateField {self.name!r}: default {self.default!r} does "
+                f"not survive a round trip through {np.dtype(self.dtype)}"
+            )
 
 
 class _ScalarField:
@@ -164,7 +184,14 @@ def resolve_width(field: StateField, template: Any) -> int:
     """Concrete column width for one field against a template instance."""
     width = field.width
     if isinstance(width, str):
-        width = getattr(template, width)
+        try:
+            width = getattr(template, width)
+        except AttributeError:
+            raise AttributeError(
+                f"{type(template).__name__} field {field.name!r} takes its "
+                f"width from attribute {width!r}, which the program does "
+                f"not have"
+            ) from None
     if width is None:
         raise ValueError(f"field {field.name!r} declares no width")
     return int(width)

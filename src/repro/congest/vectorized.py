@@ -34,6 +34,7 @@ scalar and vectorized rounds interleave bit-identically.
 
 from __future__ import annotations
 
+import abc
 import itertools
 from typing import Dict, Optional
 
@@ -427,7 +428,7 @@ def invalidate_graph_arrays(graph) -> None:
         cache.pop("repro_graph_arrays", None)
 
 
-class VectorRound:
+class VectorRound(abc.ABC):
     """Base class for one algorithm's vectorized whole-network round.
 
     Subclasses implement :meth:`load` (state columns -> kernel arrays),
@@ -444,6 +445,10 @@ class VectorRound:
     write outputs with :func:`~repro.congest.program.set_outputs`, one
     table update per key and round, and never build a node's
     :class:`Context` or program.
+
+    The three are abstract, so a subclass that leaves one out cannot be
+    instantiated; a kernel engages only on state that flush can hand
+    back (see :meth:`Network._refuse_undeclared_state`).
     """
 
     def __init__(self, network):
@@ -485,19 +490,20 @@ class VectorRound:
         _VECTOR_STATS["networks"] += 1
 
     # -- subclass API ---------------------------------------------------
-    def load(self) -> None:
-        raise NotImplementedError
+    @abc.abstractmethod
+    def load(self) -> None: ...
 
-    def step_round(self) -> None:
-        raise NotImplementedError
+    @abc.abstractmethod
+    def step_round(self) -> None: ...
 
-    def flush_state(self) -> None:
-        raise NotImplementedError
+    @abc.abstractmethod
+    def flush_state(self) -> None: ...
 
     # -- engine protocol ------------------------------------------------
     def step(self) -> None:
         """Advance the network exactly one synchronous round."""
         if not self.loaded:
+            self.network._refuse_undeclared_state()
             self.load()
             self.loaded = True
         network = self.network

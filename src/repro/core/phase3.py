@@ -24,6 +24,7 @@ component that still fails leaves its undecided nodes in ``remaining``
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from typing import List, Optional, Set, Tuple
 
@@ -37,8 +38,9 @@ from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase_result import PhaseResult, phase_metrics
 
 
-def _derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def _derive_seed(*parts: int, spawn_key: Tuple[int, ...] = ()) -> int:
+    sequence = np.random.SeedSequence(list(parts), spawn_key=spawn_key)
+    return int(sequence.generate_state(1)[0])
 
 
 def _run_executions(
@@ -129,10 +131,10 @@ def run_phase3(
     merge_iterations_max = 0
     tree_height_max = 0
     runs: List[RunMetrics] = []
+    order: Optional[list] = None
 
     for state in components:
         component_nodes = sorted(state.graph.nodes)
-        component_id = component_nodes[0]
         choreography = Choreography(ledger)
 
         if state.cluster_count > 1:
@@ -159,11 +161,24 @@ def run_phase3(
             )
             continue
 
+        # Key the component's seeds by its least node: the label itself
+        # when it is a non-negative int, else its rank among all nodes,
+        # in the spawn key so the two kinds of key never meet
+        # (``SeedSequence`` takes only non-negative ints).
+        least = component_nodes[0]
+        if isinstance(least, (int, np.integer)) and least >= 0:
+            key, spawn_key = (int(least),), ()
+        else:
+            if order is None:
+                order = sorted(all_nodes)
+            key, spawn_key = (), (bisect_left(order, least),)
         iterations = config.phase3_iterations(len(component_nodes))
         engine_rounds = 0
         winner: Optional[int] = None
         for attempt in range(config.phase3_retries + 1):
-            block_seed = _derive_seed(seed, component_id, attempt)
+            block_seed = _derive_seed(
+                seed, *key, attempt, spawn_key=spawn_key
+            )
             status, nodes, run = _run_executions(
                 state, executions, iterations, block_seed, ledger, size_bound,
                 options,

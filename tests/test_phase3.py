@@ -1,5 +1,7 @@
 """Tests for Phase III (Lemma 2.7): merge + parallel executions + selection."""
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -9,6 +11,7 @@ from repro.cluster import singleton_clusters
 from repro.congest import EnergyLedger
 from repro.core import run_phase2, run_phase3
 from repro.core.config import DEFAULT_CONFIG
+from repro.harness import run_algorithm
 
 
 def components_of(graph, size_bound=None, seed=0):
@@ -115,3 +118,52 @@ class TestEndToEndWithPhase2:
             # executions block: 2 rounds/iteration; merge: bounded constant
             # per Borůvka iteration; selection: a few tree ops.
             assert p3.metrics.max_energy <= 2 * iterations + 40 * 10
+
+
+class TestNodeLabels:
+    """Phase III seeds each component by a label-independent integer
+    (``SeedSequence`` takes only non-negative ints); runs on other labels
+    are covered by ``test_smoke_matrix.py``."""
+
+    #: Records of the paper's drivers on non-negative-int labels, where the
+    #: component key is the least label itself: (MIS size, SHA-256 prefix
+    #: of the sorted MIS, rounds, total energy, max energy). Phase III
+    #: seeds at least one component on all but two of these runs.
+    PINNED = {
+        ("algorithm1", "gnp_log_degree", 1):
+            (35, "88771d5a333ed027", 37, 921, 37),
+        ("algorithm1", "gnp_log_degree", 2):
+            (41, "1a5bfb90a020124b", 39, 849, 39),
+        ("algorithm1", "geometric", 1):
+            (10, "14de3cc76293f729", 51, 1762, 47),
+        ("algorithm1", "geometric", 2):
+            (8, "31724b83fec44bcb", 12, 1002, 12),
+        ("algorithm1", "grid", 1):
+            (36, "ef37d57c16282947", 115, 1040, 69),
+        ("algorithm1", "grid", 2):
+            (43, "b572449e448fbecf", 35, 771, 33),
+        ("algorithm2", "gnp_log_degree", 1):
+            (38, "9a9a80dc3ff688d4", 39, 825, 37),
+        ("algorithm2", "gnp_log_degree", 2):
+            (39, "50317f3841ab3abd", 47, 1237, 41),
+        ("algorithm2", "geometric", 1):
+            (11, "e2996ed452626244", 18, 1192, 18),
+        ("algorithm2", "geometric", 2):
+            (11, "6abab5016a1d9180", 41, 1342, 39),
+        ("algorithm2", "grid", 1):
+            (42, "3da02ef66d05b46b", 31, 534, 31),
+        ("algorithm2", "grid", 2):
+            (39, "865a11c45b49ba9d", 139, 1474, 71),
+    }
+
+    @pytest.mark.parametrize("algorithm, family, seed", sorted(PINNED))
+    def test_int_labelled_records_are_pinned(self, algorithm, family, seed):
+        """Keying components by rank applies to other labels only: on
+        non-negative ints every seed, and so every record, is unchanged."""
+        g = graphs.make_family(family, 120, seed=seed)
+        result = run_algorithm(algorithm, g, seed=seed)
+        mis = sorted(result.mis)
+        digest = hashlib.sha256(repr(mis).encode()).hexdigest()[:16]
+        m = result.metrics
+        assert (len(mis), digest, result.rounds, m.total_energy,
+                m.max_energy) == self.PINNED[algorithm, family, seed]

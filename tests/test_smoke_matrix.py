@@ -1,6 +1,6 @@
 """Cross-product smoke test: every algorithm × every graph family.
 
-Two guarantees the rest of the suite only covers piecemeal:
+Guarantees the rest of the suite only covers piecemeal:
 
 * every registered algorithm produces a verified MIS on every registered
   workload family (small n, fixed seed);
@@ -8,9 +8,12 @@ Two guarantees the rest of the suite only covers piecemeal:
   and energy — run-to-run (the determinism contract the dynamic subsystem
   and the sweep harness both build on);
 * the paper's algorithms give the identical result on a networkx graph and
-  on its :class:`GraphArrays` twin.
+  on its :class:`GraphArrays` twin;
+* every registered algorithm runs on any sortable node labels, not only on
+  the non-negative ints the families build.
 """
 
+import networkx as nx
 import pytest
 
 from repro.analysis import verify_mis
@@ -40,6 +43,18 @@ def test_every_algorithm_on_every_family(algorithm, family):
     assert report.maximal, (
         f"{algorithm} on {family}: uncovered {report.uncovered_nodes}"
     )
+
+
+@pytest.mark.parametrize("relabel", [
+    pytest.param(lambda v: f"v{v}", id="str"),
+    pytest.param(lambda v: -1 - v, id="negative-int"),
+    pytest.param(lambda v: divmod(v, 9), id="int-tuple"),
+])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_algorithm_on_non_int_labels(algorithm, relabel):
+    graph = nx.relabel_nodes(nx.gnp_random_graph(80, 0.08, seed=4), relabel)
+    result = run_algorithm(algorithm, graph, seed=3)
+    assert verify_mis(graph, result.mis).valid
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
