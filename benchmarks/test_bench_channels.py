@@ -18,6 +18,7 @@ rounds, relaxed floors — shared runners have noisy clocks); set
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -130,7 +131,7 @@ def _compare_channels(name, program_cls, output_key, floor):
     def make(channel):
         return lambda: Network(
             graph,
-            {v: program_cls(rounds) for v in graph.nodes},
+            partial(program_cls, rounds),
             seed=1,
             channel=channel,
         )
@@ -189,7 +190,7 @@ def test_local_channel_cheaper_than_congest():
     def make(channel):
         return lambda: Network(
             graph,
-            {v: BroadcastStorm(rounds) for v in graph.nodes},
+            partial(BroadcastStorm, rounds),
             seed=1,
             channel=channel,
         )
@@ -215,12 +216,7 @@ def test_radio_broadcast_scenario_snapshot():
     graph = graphs.make_family("gnp_log_degree", n, seed=9)
 
     def make():
-        return Network(
-            graph,
-            {v: RadioDecayProgram() for v in graph.nodes},
-            seed=2,
-            channel="broadcast",
-        )
+        return Network(graph, RadioDecayProgram, seed=2, channel="broadcast")
 
     elapsed, network = _timed_run(make)
     assert network.collisions > 0

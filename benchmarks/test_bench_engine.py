@@ -16,6 +16,7 @@ schedules, relaxed speedup floor — shared runners have noisy clocks).
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -138,9 +139,7 @@ def test_sparse_heartbeat_fast_forward_speedup():
     graph = graphs.gnp(n, 0.08, seed=7)
 
     def make_network():
-        return Network(
-            graph, {v: SparseHeartbeat(period, wakes) for v in graph.nodes}
-        )
+        return Network(graph, partial(SparseHeartbeat, period, wakes))
 
     fast_s, legacy_s, metrics = _compare_paths(
         "engine_sparse_heartbeat", make_network, "heard"
@@ -169,9 +168,7 @@ def test_staggered_ticker_fast_forward():
     graph = graphs.gnp(n, 0.05, seed=3)
 
     def make_network():
-        return Network(
-            graph, {v: StaggeredTicker(spacing, wakes, n) for v in graph.nodes}
-        )
+        return Network(graph, partial(StaggeredTicker, spacing, wakes, n))
 
     fast_s, legacy_s, metrics = _compare_paths(
         "engine_staggered_ticker", make_network, "ticks"
@@ -188,7 +185,7 @@ def test_dense_luby_round_loop():
     graph = graphs.gnp_expected_degree(n, 16.0, seed=11)
 
     def make_network():
-        return Network(graph, {v: LubyProgram() for v in graph.nodes}, seed=1)
+        return Network(graph, LubyProgram, seed=1)
 
     fast_s, legacy_s, metrics = _compare_paths(
         "engine_dense_luby", make_network, "in_mis"

@@ -95,12 +95,12 @@ def _gate_overhead(name, engine, vectorized):
     graph = _graph(vectorized)
 
     def make(channel="congest"):
-        return Network(
-            graph,
-            {v: LubyProgram() for v in graph.nodes},
-            seed=13,
-            channel=channel,
-        )
+        network = Network(graph, LubyProgram, seed=13, channel=channel)
+        # Build every node's program before the timer: the gate times the
+        # round loop, and construction in the first timed step would move
+        # where garbage collections land.
+        list(network.programs.values())
+        return network
 
     bare_s, bare_net, wrapped_s, wrapped_net = _timed_pair(
         lambda: make(), lambda: make(ZERO_FAULT), engine

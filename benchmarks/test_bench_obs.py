@@ -93,12 +93,12 @@ def _gate_overhead(name, engine, vectorized):
     graph = _graph(vectorized)
 
     def make(instrument=None):
-        return Network(
-            graph,
-            {v: LubyProgram() for v in graph.nodes},
-            seed=13,
-            instrument=instrument,
-        )
+        network = Network(graph, LubyProgram, seed=13, instrument=instrument)
+        # Build every node's program before the timer: the gate times the
+        # round loop, and construction in the first timed step would move
+        # where garbage collections land.
+        list(network.programs.values())
+        return network
 
     noop = Instrument()  # base class: every hook is a no-op, no profiler
     plain_s, plain_net, instr_s, instr_net = _timed_pair(

@@ -36,6 +36,7 @@ import json
 import math
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,7 @@ def test_alg1_dense_phase1_speedup():
     def make():
         return Network(
             graph,
-            {v: Phase1Alg1Program(1, rpi, delta, 0.125) for v in graph.nodes},
+            partial(Phase1Alg1Program, 1, rpi, delta, 0.125),
             seed=7,
         )
 
@@ -174,10 +175,7 @@ def test_alg1_paper_divisor_phase1():
     def make():
         return Network(
             graph,
-            {
-                v: Phase1Alg1Program(iterations, rpi, delta, 10.0)
-                for v in graph.nodes
-            },
+            partial(Phase1Alg1Program, iterations, rpi, delta, 10.0),
             seed=7,
         )
 
@@ -201,10 +199,7 @@ def test_alg2_phase1_speedup():
     def make():
         return Network(
             graph,
-            {
-                v: Phase1Alg2Program(delta, rounds, DEFAULT_CONFIG)
-                for v in graph.nodes
-            },
+            partial(Phase1Alg2Program, delta, rounds, DEFAULT_CONFIG),
             seed=7,
         )
 
@@ -225,10 +220,7 @@ def test_lemma42_speedup():
     def make():
         return Network(
             graph,
-            {
-                v: Lemma42Program(iterations, rpi, delta, DEFAULT_CONFIG, n)
-                for v in graph.nodes
-            },
+            partial(Lemma42Program, iterations, rpi, delta, DEFAULT_CONFIG, n),
             seed=7,
         )
 
@@ -251,10 +243,7 @@ def test_ghaffari_shattering_speedup():
     def make():
         return Network(
             graph,
-            {
-                v: GhaffariProgram(iterations=iterations, executions=3)
-                for v in graph.nodes
-            },
+            partial(GhaffariProgram, iterations=iterations, executions=3),
             seed=7,
         )
 

@@ -18,6 +18,7 @@ the committed ``BENCH_5.json`` snapshot.
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -106,9 +107,7 @@ def test_luby_dense_rounds_speedup():
     graph = _dense_graph()
 
     def make():
-        return Network(
-            graph, {v: LubyProgram() for v in graph.nodes}, seed=7
-        )
+        return Network(graph, LubyProgram, seed=7)
 
     _compare_engines("vectorized_luby_dense", make, MIN_DENSE_SPEEDUP)
 
@@ -126,12 +125,9 @@ def test_regularized_luby_cascade_speedup():
     def make():
         return Network(
             graph,
-            {
-                v: RegularizedLubyProgram(
-                    iterations, rounds_per_iteration, delta
-                )
-                for v in graph.nodes
-            },
+            partial(
+                RegularizedLubyProgram, iterations, rounds_per_iteration, delta
+            ),
             seed=7,
         )
 
@@ -160,7 +156,7 @@ def test_radio_listener_scan_speedup():
         def make(channel):
             return lambda: Network(
                 graph,
-                {v: RadioDecayProgram() for v in graph.nodes},
+                RadioDecayProgram,
                 seed=2,
                 channel=channel,
             )

@@ -26,7 +26,6 @@ are bit-vectors with one bit per execution.
 from __future__ import annotations
 
 from functools import partial
-from operator import attrgetter
 from typing import List, Optional, Set, Tuple
 
 import networkx as nx
@@ -40,7 +39,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
-from ..congest.program import population_groups, set_outputs
+from ..congest.program import set_outputs
 from ..congest.vectorized import VectorRound
 from ..result import MISResult
 
@@ -51,8 +50,6 @@ JOINED = 1
 REMOVED = 2
 
 _MIN_DESIRE = 2.0**-60  # numeric floor; reached only after 60 halvings
-
-_SHAPE_SIGNATURE = attrgetter("iterations", "executions")
 
 
 class GhaffariProgram(NodeProgram):
@@ -105,20 +102,14 @@ class GhaffariProgram(NodeProgram):
     @classmethod
     def start_population(cls, network, ranks):
         """Every node starts outside the MIS (one output-table write); a
-        zero-iteration budget halts its nodes at once, reporting their
-        initial status."""
+        zero-iteration budget halts every node at once, reporting the
+        initial status, which is the template's."""
         set_outputs(network, ranks, in_mis=False)
-        for template, group in population_groups(
-            network, ranks, _SHAPE_SIGNATURE
-        ):
-            if template.iterations == 0:
-                nodes = network._labels_of(group)
-                programs = network.programs
-                set_outputs(network, group, status=[
-                    tuple(int(s) for s in programs[node].status)
-                    for node in nodes
-                ])
-                network._halt_many(nodes)
+        template = network._template
+        if template.iterations == 0:
+            status = tuple(int(s) for s in template.status)
+            set_outputs(network, ranks, status=status)
+            network._halt_many(network._labels_of(ranks))
 
     def on_round(self, ctx):
         if ctx.round % 2 == _MARK:
@@ -184,17 +175,9 @@ class GhaffariProgram(NodeProgram):
 
     @classmethod
     def vector_round(cls, network):
-        """Engine capability hook: the mark/join iteration vectorizes
-        whole-network when every node runs the same ``(iterations,
-        executions)`` configuration (the kernel stores per-execution state
-        as ``(n, executions)`` columns, so the shape must be uniform)."""
-        groups = population_groups(
-            network, np.arange(network.graph.number_of_nodes()),
-            _SHAPE_SIGNATURE,
-        )
-        if len(groups) > 1:
-            return None
-        return _GhaffariVectorRound(network, groups[0][0])
+        """Engine capability hook: the mark/join iteration runs
+        whole-network over ``(n, executions)`` columns."""
+        return _GhaffariVectorRound(network, network._template)
 
 
 class _GhaffariVectorRound(VectorRound):

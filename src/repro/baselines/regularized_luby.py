@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import attrgetter
 from typing import Optional
 
 import networkx as nx
@@ -36,18 +35,13 @@ from ..congest import (
     RunOptions,
     StateField,
 )
-from ..congest.program import population_groups, set_outputs
+from ..congest.program import set_outputs
 from ..congest.vectorized import VectorRound
 from ..graphs.properties import max_degree
 from ..result import MISResult
 
 _MARK = 0
 _JOIN = 1
-
-_SCHEDULE_SIGNATURE = attrgetter(
-    "iterations", "rounds_per_iteration", "delta", "mark_divisor"
-)
-
 
 class RegularizedLubyProgram(NodeProgram):
     """Node program for the unmodified regularized Luby algorithm."""
@@ -112,21 +106,8 @@ class RegularizedLubyProgram(NodeProgram):
 
     @classmethod
     def vector_round(cls, network):
-        """Engine capability hook: whole-network mark/join sub-rounds.
-
-        Declines (returns None, keeping the scalar path) when programs
-        were built with differing schedule parameters — the vectorized
-        round applies one global marking probability, which is only
-        faithful when every node shares the schedule (as the
-        ``regularized_luby_mis`` driver guarantees).
-        """
-        groups = population_groups(
-            network, np.arange(network.graph.number_of_nodes()),
-            _SCHEDULE_SIGNATURE,
-        )
-        if len(groups) > 1:
-            return None
-        return _RegularizedLubyVectorRound(network, groups[0][0])
+        """Engine capability hook: whole-network mark/join sub-rounds."""
+        return _RegularizedLubyVectorRound(network, network._template)
 
 
 class _RegularizedLubyVectorRound(VectorRound):
@@ -135,9 +116,8 @@ class _RegularizedLubyVectorRound(VectorRound):
     The marking probability is a *global* function of the algorithm round
     (no per-node degree), so one scalar probability gates a whole draw
     column; every live node draws once each MARK sub-round, exactly like
-    the scalar loop.  The capability hook checks that every node shares
-    the schedule parameters and hands the kernel one program carrying
-    them (the population's template).
+    the scalar loop; the schedule parameters come from the network's
+    template program.
 
     Channel faults are simpler here than in classic Luby: the marking
     probability carries no degree belief, so a fault only filters which

@@ -26,13 +26,14 @@ sleep almost always, so the hot path is built around *awake events*, not
 rounds:
 
 * the wake calendar is keyed by round only (round -> nodes); a
-  population start hook lays a whole program class's wakes down in one
+  population start hook lays the whole network's wakes down in one
   :meth:`Network._schedule_population` call, one calendar entry at a time
   rather than one ``(node, round)`` pair at a time;
-* a uniform population (``Network(graph, ProgramClass)``) costs no
-  Python object per node: state columns are filled from one template
-  instance, the halted set, always-awake set and output table live on
-  the network and are written in bulk, and a node's program and
+* every node runs the program of one factory
+  (``Network(graph, ProgramClass)``), so a population costs no Python
+  object per node: state columns are filled from one template instance,
+  the halted set, always-awake set and output table live on the network
+  and are written in bulk, and a node's program and
   :class:`~repro.congest.program.Context` are built only when scalar
   code first touches them;
 * pending wake rounds live in a min-heap (``_wake_heap``), so finding the
@@ -74,9 +75,9 @@ without them never vectorizes.
 from __future__ import annotations
 
 import heapq
-from collections.abc import ItemsView, KeysView, Mapping, ValuesView
+from collections.abc import ItemsView, KeysView, ValuesView
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -88,7 +89,7 @@ from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import Context, NodeProgram
-from .state import allocate_columns, bind_state, resolve_width
+from .state import allocate_columns, bind_state
 from .streams import NodeStreams
 from .vectorized import GraphArrays, VectorRound
 
@@ -211,17 +212,17 @@ class Network:
         must be hashable; they are used directly as identifiers (MIS
         algorithms assume unique IDs).
     programs:
-        The population: a zero-argument program factory — a
-        :class:`NodeProgram` subclass or a ``functools.partial`` of one —
-        that every node runs (a uniform population), or a mapping from
-        node to its own :class:`NodeProgram` instance (any population).
-        A factory is called once up front for a *template* instance,
-        whose ``__init__`` values fill the state columns in one array
-        write per field; a node's own instance is built (bound to its
-        column row, which it does not overwrite) only when scalar code
-        first reads ``network.programs[node]``, and likewise its
-        :class:`Context` on the first ``network.contexts[node]``. A
-        population that runs vectorized therefore builds neither.
+        The program every node runs: a zero-argument factory — a
+        :class:`NodeProgram` subclass or a ``functools.partial`` of one.
+        Anything else is refused with a ``TypeError``. The factory is
+        called once up front for a *template* instance, whose
+        ``__init__`` values fill the state columns in one array write
+        per field; a node's own instance is built (bound to its column
+        row) only when scalar code first reads
+        ``network.programs[node]``, and likewise its :class:`Context` on
+        the first ``network.contexts[node]``. A population that runs
+        vectorized therefore builds neither. Per-node parameters live in
+        state columns, written by the class's start hook.
     seed:
         Master seed keying every node's random stream (see
         :mod:`repro.congest.streams`), so it reproduces a run bit-for-bit.
@@ -257,7 +258,7 @@ class Network:
     def __init__(
         self,
         graph: nx.Graph,
-        programs: Union[Mapping[Any, NodeProgram], Callable[[], NodeProgram]],
+        programs: Callable[[], NodeProgram],
         *,
         seed: int = 0,
         bit_budget: Optional[int] = None,
@@ -270,6 +271,12 @@ class Network:
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty graph")
+        if not callable(programs):
+            raise TypeError(
+                f"Network takes a zero-argument program factory (a "
+                f"NodeProgram subclass or a functools.partial of one) that "
+                f"every node runs, not a {type(programs).__name__}"
+            )
         self.instrument = resolve_instrument(instrument)
         self._observed = self.instrument is not NULL_INSTRUMENT
         self._profiler = self.instrument.profiler if self._observed else None
@@ -296,28 +303,10 @@ class Network:
         self._halted: Set[Any] = set()
         self.programs = _NodeTable(self, self._build_program)
         self.contexts = _NodeTable(self, self._build_context)
-        #: A uniform population's factory and its template instance (one
-        #: call of the factory, never bound to a node); None for a mapping.
-        self._factory = None
-        self._template = None
-        if isinstance(programs, Mapping):
-            missing = [v for v in graph.nodes if v not in programs]
-            if missing:
-                raise ValueError(f"no program for nodes {missing[:5]}...")
-            first = next(iter(programs.values()))
-            #: The one program class every node runs, or None for a mixed
-            #: population.
-            self._program_class = (
-                type(first)
-                if all(type(p) is type(first) for p in programs.values())
-                else None
-            )
-            for node in self._node_order:
-                dict.__setitem__(self.programs, node, programs[node])
-        else:
-            self._factory = programs
-            self._template = programs()
-            self._program_class = type(self._template)
+        #: The population's factory and its template instance (one call of
+        #: the factory, never bound to a node).
+        self._factory = programs
+        self._template = programs()
         self.ledger = ledger if ledger is not None else EnergyLedger(graph.nodes)
         self.round_index = -1
 
@@ -384,60 +373,31 @@ class Network:
         return ranks[node]
 
     def _build_program(self, node) -> NodeProgram:
-        """A uniform population's instance for ``node``, bound to the
-        node's column row as it stands (its staged ``__init__`` values
-        are the template's, which the row started from)."""
+        """The instance for ``node``, bound to the node's column row as it
+        stands (its staged ``__init__`` values are the template's, which
+        the row started from)."""
         program = self._factory()
         if self.state_columns is not None:
-            bind_state(program, self.state_columns, self._rank_of(node),
-                       keep_row=True)
+            bind_state(program, self.state_columns, self._rank_of(node))
         return program
 
     def _build_context(self, node) -> Context:
         return Context(self, node, self._rank_of(node), self.n)
 
     def _allocate_state_columns(self) -> None:
-        """Allocate + bind schema-declared state columns, when possible.
-
-        Columns bind only for a homogeneous program population with a
-        non-empty schema whose string widths agree across nodes; any other
-        population keeps plain instance attributes (the descriptors'
-        unbound path) and runs on the scalar loops. A factory-built
-        population fills every row from its template; a mapping's
-        instances are bound one by one, each popping its staged values
-        into its row.
-        """
-        cls = self._program_class
-        if cls is None:
-            return
-        schema = cls.state_schema()
+        """Allocate the schema-declared state columns, every row filled
+        from the template (a class with an empty schema keeps plain
+        instance attributes and runs on the scalar loops)."""
+        template = self._template
+        schema = type(template).state_schema()
         if not schema:
             return
-        n = len(self._node_order)
-        template = self._template
-        if template is not None:
-            self.state_columns = allocate_columns(
-                schema, template, n, staged=template.__dict__
-            )
-            self._init_names = frozenset(
-                ("_state_columns", "_state_rank", *template.__dict__)
-            )
-            return
-        programs = self.programs
-        template = programs[self._node_order[0]]
-        for field in schema:
-            if isinstance(field.width, str):
-                width = resolve_width(field, template)
-                if any(
-                    resolve_width(field, p) != width
-                    for p in programs.built().values()
-                ):
-                    return
-        columns = allocate_columns(schema, template, n)
-        for rank, node in enumerate(self._node_order):
-            bind_state(programs[node], columns, rank)
-        self.state_columns = columns
-        self._init_names = frozenset().union(*map(vars, dict.values(programs)))
+        self.state_columns = allocate_columns(
+            schema, template, len(self._node_order)
+        )
+        self._init_names = frozenset(
+            ("_state_columns", "_state_rank", *template.__dict__)
+        )
 
     def _refuse_undeclared_state(self) -> None:
         """Refuse a kernel engagement while a built program holds a name
@@ -594,23 +554,15 @@ class Network:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Run the free local precomputation before round 0: one
-        :meth:`NodeProgram.start_population` call per program class, over
-        the ascending ranks of that class's nodes."""
+        :meth:`NodeProgram.start_population` call over every rank."""
         if self._started:
             raise RuntimeError("network already started")
         self._started = True
         if self._observed:
             self.instrument.on_run_start(self)
-        cls = self._program_class
-        if cls is not None:
-            cls.start_population(self, np.arange(len(self._node_order)))
-            return
-        classes: Dict[type, List[int]] = {}
-        programs = self.programs
-        for rank, node in enumerate(self._node_order):
-            classes.setdefault(type(programs[node]), []).append(rank)
-        for cls, ranks in classes.items():
-            cls.start_population(self, np.array(ranks, dtype=np.int64))
+        type(self._template).start_population(
+            self, np.arange(len(self._node_order))
+        )
 
     def step(self) -> Set[int]:
         """Run one synchronous round; return the set of awake nodes."""
@@ -744,16 +696,15 @@ class Network:
     def _vector_runner(self, *, force: bool = False):
         """The network's vectorized round runner, or None if ineligible.
 
-        Eligibility, checked once per network: every node runs the *same*
-        program class, that class declares the capability (overrides
-        ``NodeProgram.vector_round`` with a factory), the network bound the
-        programs' state to schema columns (kernels load and flush only
-        those), and the channel stack raises no
-        :meth:`~repro.congest.channels.Channel.vector_obstacle` (radio
-        delivery is vectorized inside :class:`BroadcastChannel`
-        instead).  In auto mode
-        small graphs additionally fall back to the cached loop
-        (:data:`VECTOR_AUTO_MIN_NODES`); ``force`` bypasses that floor.
+        Eligibility, checked once per network: the program class declares
+        the capability (overrides ``NodeProgram.vector_round`` with a
+        factory), the network holds the programs' state in schema columns
+        (kernels load and flush only those), and the channel stack raises
+        no :meth:`~repro.congest.channels.Channel.vector_obstacle` (radio
+        delivery is vectorized inside :class:`BroadcastChannel` instead).
+        In auto mode small graphs additionally fall back to the cached
+        loop (:data:`VECTOR_AUTO_MIN_NODES`); ``force`` bypasses that
+        floor.
         """
         if not force and self.graph.number_of_nodes() < VECTOR_AUTO_MIN_NODES:
             # Below the auto floor the runner would never be used; skip
@@ -764,11 +715,9 @@ class Network:
         if cache is None:
             runner = None
             reason = "no program declares the vectorized-round capability"
-            cls = self._program_class or type(
-                self.programs[self._node_order[0]]
-            )
-            factory = getattr(cls, "vector_round", None)
-            if callable(factory):
+            cls = type(self._template)
+            factory = cls.vector_round
+            if factory is not None:
                 obstacle = self.channel.vector_obstacle()
                 if obstacle is not None:
                     reason = obstacle
@@ -777,31 +726,16 @@ class Network:
                         "node-fault injection (crash/straggler plans) "
                         "requires the scalar step loop"
                     )
-                elif self._program_class is None:
-                    reason = "nodes run heterogeneous program classes"
                 elif self.state_columns is None:
-                    reason = (
-                        f"{cls.__name__} has no state columns: its "
-                        f"state_schema() is empty or its widths differ "
-                        f"across nodes"
-                    )
+                    reason = f"{cls.__name__} declares no state_schema()"
                 else:
-                    # A factory may decline (return None) after inspecting
-                    # the actual instances, e.g. heterogeneous schedule
-                    # parameters that one flat column cannot represent.
                     runner = factory(self)
-                    if not isinstance(runner, (VectorRound, type(None))):
+                    if not isinstance(runner, VectorRound):
                         raise VectorizationError(
                             f"{cls.__name__}.vector_round returned a "
-                            f"{type(runner).__name__}, not a VectorRound "
-                            f"or None"
+                            f"{type(runner).__name__}, not a VectorRound"
                         )
-                    reason = (
-                        ""
-                        if runner is not None
-                        else f"{cls.__name__}.vector_round declined this "
-                             f"network (heterogeneous program parameters)"
-                    )
+                    reason = ""
             cache = (runner, reason)
             self._vector_runner_cache = cache
         runner, reason = cache

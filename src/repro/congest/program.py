@@ -1,11 +1,10 @@
 """Node-program API for the CONGEST-with-sleeping engine.
 
 A distributed algorithm is written as a :class:`NodeProgram` subclass.
-A network runs one program per node, built from a zero-argument factory
-(the class, or a ``functools.partial`` of it) for a uniform population or
-taken from a node -> instance mapping for a mixed one; a uniform
-population's instances and contexts are only built for the
-nodes scalar code touches (see :class:`~repro.congest.network.Network`).
+Every node of a network runs the same program, built from one
+zero-argument factory (the class, or a ``functools.partial`` of it);
+instances and contexts are only built for the nodes scalar code touches
+(see :class:`~repro.congest.network.Network`).
 Programs see only local information: their identifier, their neighbors'
 identifiers, a polynomial bound ``n`` on the network size (standard in
 the model), a private random stream (``ctx.rng``), and the messages
@@ -20,9 +19,8 @@ Sleeping semantics (Section 1.1 of the paper):
 
 Lifecycle::
 
-    start_population(network, ranks)  # once per program class, before
-                                       # round 0; default: on_start(ctx)
-                                       # per node
+    start_population(network, ranks)  # once, before round 0; default:
+                                       # on_start(ctx) per node
     per node, while not halted:
         if awake this round:
             on_round(ctx)              # send messages for this round
@@ -259,51 +257,6 @@ class Context:
         return outbox, bcast
 
 
-def population_groups(network: Any, ranks: np.ndarray, signature):
-    """Split a population by parameter signature, for start hooks and
-    kernel homogeneity checks.
-
-    Returns ``(template, group_ranks)`` pairs in first-seen order, where
-    every program at ``group_ranks`` has ``signature(program) ==
-    signature(template)``; a uniform population is one pair. A network
-    built from a program factory is uniform by construction and answers
-    with its template without building a single program.
-    """
-    template = network._template
-    if template is not None:
-        return [(template, ranks)]
-    programs = network.programs
-    order = network._node_order
-    members = [programs[order[rank]] for rank in ranks.tolist()]
-    keys = list(map(signature, members))
-    first = keys[0]
-    if all(key == first for key in keys):
-        return [(members[0], ranks)]
-    groups: Dict[Any, List[int]] = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    return [
-        (members[positions[0]], ranks[positions])
-        for positions in groups.values()
-    ]
-
-
-def store_state(
-    network: Any, ranks: np.ndarray, name: str, values: np.ndarray
-) -> None:
-    """Write one state field for the programs at ``ranks``: a column
-    slice when the network bound schema columns, else one attribute per
-    program (a mixed-class population keeps plain attributes)."""
-    columns = network.state_columns
-    if columns is not None:
-        columns[name][ranks] = values
-        return
-    programs = network.programs
-    order = network._node_order
-    for rank, value in zip(ranks.tolist(), values.tolist()):
-        setattr(programs[order[rank]], name, value)
-
-
 def set_outputs(network: Any, ranks: np.ndarray, **columns) -> None:
     """Set ``ctx.output[key] = value`` for the nodes at ``ranks``, one
     keyword per output key: a numpy array or list parallel to ``ranks``,
@@ -337,11 +290,12 @@ class NodeProgram:
     instead of looping over instances. Undeclared attributes keep living in
     the instance ``__dict__`` as before.
 
-    A class run as a uniform population (``Network(graph, Class)``) must
-    build identical instances on every call: the network fills the
-    columns from one template instance and builds a node's own instance
-    only when scalar code first asks for it, so an instance that was
-    never built is exactly a fresh one with its column row.
+    A program factory (``Network(graph, Class)``) must build identical
+    instances on every call: the network fills the columns from one
+    template instance and builds a node's own instance only when scalar
+    code first asks for it, so an instance that was never built is
+    exactly a fresh one with its column row. Per-node values (samples,
+    schedules) belong in state columns, written by the start hook.
     """
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -358,10 +312,9 @@ class NodeProgram:
     #: Vectorized-round capability hook. A program class whose dense
     #: rounds can be executed whole-network at a time overrides this with a
     #: factory ``(network) -> repro.congest.vectorized.VectorRound``
-    #: (typically a classmethod); the factory may inspect the network and
-    #: return ``None`` to decline (e.g. heterogeneous per-node parameters
-    #: the kernel cannot flatten). ``None`` here means the engine always
-    #: uses the scalar per-node loops. Every kernel must honour the
+    #: (typically a classmethod building the kernel from the network's
+    #: template program). ``None`` here means the engine always uses the
+    #: scalar per-node loops. Every kernel must honour the
     #: channel's fault masks (``VectorRound.faults``), and a kernel whose
     #: program schedules wakes must assemble each round's active set from
     #: the calendar via :meth:`VectorRound.pop_scheduled_awake` — that is
@@ -374,14 +327,16 @@ class NodeProgram:
 
     @classmethod
     def start_population(cls, network: Any, ranks: np.ndarray) -> None:
-        """Start every node of this class (``ranks``: their ascending
-        ranks in ``network``) before round 0.
+        """Start the nodes at ``ranks`` (ascending; the network passes
+        every rank) before round 0.
 
         The default runs :meth:`on_start` node by node and rejects a node
         that sent, so it builds every node's program and context. A class
-        with a vectorized kernel overrides it with array writes (outputs
-        through :func:`set_outputs`, state through :func:`store_state`),
-        so a uniform population that runs vectorized builds none. A class
+        with a vectorized kernel overrides it with array writes: run
+        parameters come from ``network._template``, outputs go through
+        :func:`set_outputs`, and state into
+        ``network.state_columns[name][ranks]``, so a population that runs
+        vectorized builds no program. A class
         whose start is local sampling plus a wake
         schedule overrides this to draw the population's samples with
         :meth:`NodeStreams.take <repro.congest.streams.NodeStreams.take>`

@@ -3,7 +3,7 @@
 A program class *declares* its per-node state as a typed schema
 (:meth:`NodeProgram.state_schema` returning :class:`StateField` triples);
 the :class:`~repro.congest.network.Network` allocates one flat column per
-field at bind time, and
+field at construction, and
 
 * scalar program bodies keep reading/writing ``self.<field>`` unchanged —
   a data descriptor transparently proxies the attribute into
@@ -11,29 +11,24 @@ field at bind time, and
 * vector kernels load and flush whole columns with array copies.
 
 Columns are the only layout a schema-declaring population gets: every
-vectorized kernel requires them, and the engine declines vectorization
-for a network without them (``Network.state_columns is None``).
+vectorized kernel requires them, and the engine never vectorizes a
+network without them (``Network.state_columns is None``).
 
 Width fields (``StateField(width=...)``) allocate 2-D ``(n, width)``
 columns; a node's row view is then a mutable length-``width`` numpy row,
 so list-shaped program state (Ghaffari's per-execution status vector)
 keeps its indexing syntax.  A ``width`` given as a *string* names an
-attribute of the program instances (e.g. ``width="executions"``) resolved
-at allocation time, because such widths are run parameters, not class
-constants.
+attribute of the program (e.g. ``width="executions"``) read off the
+template at allocation time, because such widths are run parameters, not
+class constants.
 
 Before a program is bound to a network (i.e. during ``__init__``), the
 descriptors stage assignments in the instance ``__dict__`` exactly as
-plain attributes would; :func:`bind_state` then pops the staged values
-into the node's column rows. A uniform population skips the per-node
-pass: :func:`allocate_columns` fills every row from one template's
-staged values, and an instance built later for one node is bound with
-``keep_row`` (its staged values, the template's, are dropped).  Unbinding (when a program instance is moved
-to another network) materializes the rows back into the ``__dict__`` so
-no state is lost.  The unbound path also serves populations the network
-cannot bind to one schema (mixed program classes, or string widths that
-differ across nodes): those programs keep plain instance attributes and
-run on the scalar path.
+plain attributes would. :func:`allocate_columns` fills every row from
+one template instance's staged values; an instance the network builds
+later for one node is bound once, by :func:`bind_state`, which drops its
+staged values (the template's, which the row started from) and points it
+at the row.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ __all__ = [
     "StateField",
     "allocate_columns",
     "bind_state",
-    "unbind_state",
 ]
 
 
@@ -198,13 +192,12 @@ def resolve_width(field: StateField, template: Any) -> int:
 
 
 def allocate_columns(
-    schema: Tuple[StateField, ...], template: Any, n: int,
-    staged: Optional[Dict[str, Any]] = None,
+    schema: Tuple[StateField, ...], template: Any, n: int
 ) -> Dict[str, np.ndarray]:
     """Allocate columns for ``n`` nodes of one schema, every row filled
-    with ``staged[name]`` where given (a uniform population's template
-    values, one array write per field), else the schema default."""
-    staged = staged or {}
+    with the value ``template`` staged for the field (one array write per
+    field), else the schema default."""
+    staged = template.__dict__
     columns: Dict[str, np.ndarray] = {}
     for field in schema:
         dtype = np.dtype(field.dtype)
@@ -218,40 +211,13 @@ def allocate_columns(
     return columns
 
 
-def bind_state(
-    program: Any, columns: Dict[str, np.ndarray], rank: int,
-    *, keep_row: bool = False,
-) -> None:
-    """Attach ``program`` to row ``rank`` of the shared columns.
-
-    Values staged in the instance ``__dict__`` (assigned before bind,
-    typically in ``__init__``) are popped into the row; fields never
-    assigned keep the schema default already in the column. With
-    ``keep_row`` the staged values are dropped instead: the row already
-    holds the node's state (a uniform population's program built after
-    its columns were filled and possibly run). A program bound to an
-    earlier network is transparently unbound first, so its state follows
-    the instance.
-    """
+def bind_state(program: Any, columns: Dict[str, np.ndarray], rank: int) -> None:
+    """Attach a freshly built ``program`` to row ``rank`` of the shared
+    columns. The values its ``__init__`` staged in the instance
+    ``__dict__`` are dropped: the row already holds the node's state (it
+    was filled from the template and may have run since)."""
     d = program.__dict__
-    if "_state_columns" in d:
-        unbind_state(program)
-    for name, column in columns.items():
-        if name in d:
-            value = d.pop(name)
-            if not keep_row:
-                column[rank] = value
+    for name in columns:
+        d.pop(name, None)
     d["_state_columns"] = columns
     d["_state_rank"] = rank
-
-
-def unbind_state(program: Any) -> None:
-    """Materialize a bound program's rows back into its ``__dict__``."""
-    d = program.__dict__
-    columns = d.pop("_state_columns", None)
-    if columns is None:
-        return
-    rank = d.pop("_state_rank")
-    for name, column in columns.items():
-        value = column[rank]
-        d[name] = value.item() if column.ndim == 1 else value.copy()

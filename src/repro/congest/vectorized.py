@@ -19,8 +19,8 @@ bump the same per-node counters as the scalar ``ctx.rng``.
 
 A program class opts in by overriding the :attr:`NodeProgram.vector_round`
 hook with a factory ``(network) -> VectorRound``.  The network engages the
-vectorized path only when every node runs the same capable program class on
-a compatible point-to-point channel (CONGEST or LOCAL); radio rounds are
+vectorized path only for a capable program class with state columns on a
+compatible point-to-point channel (CONGEST or LOCAL); radio rounds are
 vectorized inside :class:`~repro.congest.channels.BroadcastChannel` itself
 (the per-round bincount listener scan), which needs no program capability.
 
@@ -469,8 +469,8 @@ class VectorRound(abc.ABC):
             np.ones(self.arrays.n, dtype=np.int64) if self.priced else None
         )
         #: The network's schema-declared state columns (see
-        #: ``repro.congest.state``). Never None here: the engine declines
-        #: vectorization for a network without columns, so kernels
+        #: ``repro.congest.state``). Never None here: the engine never
+        #: vectorizes a network without columns, so kernels
         #: load/flush them with whole-array copies.
         self.state_columns = network.state_columns
         self.loaded = False

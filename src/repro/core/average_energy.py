@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import attrgetter
 from typing import Iterable, Optional
 
 import networkx as nx
@@ -46,11 +45,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
-from ..congest.program import (
-    population_groups,
-    set_outputs,
-    store_state,
-)
+from ..congest.program import set_outputs
 from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
 from ..graphs.properties import induced_subgraph, max_degree
 from ..result import MISResult
@@ -65,11 +60,6 @@ from .phase2 import run_phase2
 from .phase3 import _derive_seed, run_phase3
 from .phase_result import PhaseResult, phase_metrics, run_network_phase
 from .pipeline import combine_phases, driver_inputs, observed_phase
-
-
-_LEMMA42_SIGNATURE = attrgetter(
-    "iterations", "rounds_per_iteration", "delta", "config", "n"
-)
 
 
 class Lemma42Program(NodeProgram):
@@ -142,27 +132,24 @@ class Lemma42Program(NodeProgram):
     def start_population(cls, network, ranks):
         """Sample every node's one-shot marking round (as in Phase I of
         Algorithm 1, divisor 10) and lay down the population's wakes."""
-        for template, group in population_groups(
-            network, ranks, _LEMMA42_SIGNATURE
-        ):
-            marked = sample_marked_rounds(
-                network.streams, group, template.iterations,
-                template.rounds_per_iteration, template.delta, 10.0,
-            )
-            sampled = marked >= 0
-            iteration, algo_round = np.divmod(
-                marked, template.rounds_per_iteration
-            )
-            iteration[~sampled] = -1
-            algo_round[~sampled] = -1
-            store_state(network, group, "sampled_iteration", iteration)
-            store_state(network, group, "sampled_round", algo_round)
-            unset = np.zeros(group.size, dtype=bool)
-            set_outputs(network, group, joined=unset, failed=unset,
-                        sampled=sampled)
-            network._schedule_population(
-                group, iteration, template.wake_rounds
-            )
+        template = network._template
+        marked = sample_marked_rounds(
+            network.streams, ranks, template.iterations,
+            template.rounds_per_iteration, template.delta, 10.0,
+        )
+        sampled = marked >= 0
+        iteration, algo_round = np.divmod(
+            marked, template.rounds_per_iteration
+        )
+        iteration[~sampled] = -1
+        algo_round[~sampled] = -1
+        columns = network.state_columns
+        columns["sampled_iteration"][ranks] = iteration
+        columns["sampled_round"][ranks] = algo_round
+        unset = np.zeros(ranks.size, dtype=bool)
+        set_outputs(network, ranks, joined=unset, failed=unset,
+                    sampled=sampled)
+        network._schedule_population(ranks, iteration, template.wake_rounds)
 
     # ------------------------------------------------------------------
     @property
@@ -258,16 +245,8 @@ class Lemma42Program(NodeProgram):
 
     @classmethod
     def vector_round(cls, network):
-        """Engine capability hook: one flat column set per network needs
-        every node to share the phase parameters (``run_lemma42`` always
-        builds them that way; hand-built heterogeneous networks decline)."""
-        groups = population_groups(
-            network, np.arange(network.graph.number_of_nodes()),
-            _LEMMA42_SIGNATURE,
-        )
-        if len(groups) > 1:
-            return None
-        return _Lemma42VectorRound(network, groups[0][0])
+        """Engine capability hook: whole-network Lemma 4.2 rounds."""
+        return _Lemma42VectorRound(network, network._template)
 
 
 class _Lemma42VectorRound(VectorRound):

@@ -36,7 +36,6 @@ an earlier-acting neighbor delivered the neighbor's outcome.
 from __future__ import annotations
 
 from functools import partial
-from operator import attrgetter
 from typing import Optional
 
 import networkx as nx
@@ -49,11 +48,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
-from ..congest.program import (
-    population_groups,
-    set_outputs,
-    store_state,
-)
+from ..congest.program import set_outputs
 from ..congest.vectorized import GraphArrays, VectorRound, graph_csr
 from ..graphs.properties import max_degree
 from ..schedule import schedule_for_round
@@ -99,11 +94,6 @@ def sample_marked_rounds(
         )
         pending = pending[~hit]
     return marked
-
-
-_PHASE1_SIGNATURE = attrgetter(
-    "iterations", "rounds_per_iteration", "delta", "mark_divisor"
-)
 
 
 class Phase1Alg1Program(NodeProgram):
@@ -152,25 +142,21 @@ class Phase1Alg1Program(NodeProgram):
     @classmethod
     def start_population(cls, network, ranks):
         """Sample every node's marking round (one draw per iteration for
-        the still-unmarked nodes, grouped by tuning parameters) and lay
-        down the sampled nodes' Lemma 2.5 schedules; never-sampled nodes
-        sleep through the entire phase."""
-        for template, group in population_groups(
-            network, ranks, _PHASE1_SIGNATURE
-        ):
-            marked = sample_marked_rounds(
-                network.streams, group, template.iterations,
-                template.rounds_per_iteration, template.delta,
-                template.mark_divisor,
-            )
-            store_state(network, group, "marked_round", marked)
-            set_outputs(
-                network, group, joined=np.zeros(group.size, dtype=bool),
-                sampled=marked >= 0,
-            )
-            network._schedule_population(
-                group, marked, template.wake_rounds
-            )
+        the still-unmarked nodes) and lay down the sampled nodes' Lemma
+        2.5 schedules; never-sampled nodes sleep through the entire
+        phase."""
+        template = network._template
+        marked = sample_marked_rounds(
+            network.streams, ranks, template.iterations,
+            template.rounds_per_iteration, template.delta,
+            template.mark_divisor,
+        )
+        network.state_columns["marked_round"][ranks] = marked
+        set_outputs(
+            network, ranks, joined=np.zeros(ranks.size, dtype=bool),
+            sampled=marked >= 0,
+        )
+        network._schedule_population(ranks, marked, template.wake_rounds)
 
     # ------------------------------------------------------------------
     def on_round(self, ctx):
@@ -206,7 +192,7 @@ class Phase1Alg1Program(NodeProgram):
     def vector_round(cls, network):
         """Engine capability hook: the sub-round structure vectorizes
         whole-network (the kernel reads only each node's pre-sampled
-        ``marked_round``, so heterogeneous tuning parameters are fine)."""
+        ``marked_round``)."""
         return _Phase1Alg1VectorRound(network)
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from operator import attrgetter
 from typing import Optional, Set
 
 import networkx as nx
@@ -52,11 +51,7 @@ from ..congest import (
     RunOptions,
     StateField,
 )
-from ..congest.program import (
-    population_groups,
-    set_outputs,
-    store_state,
-)
+from ..congest.program import set_outputs
 from ..congest.vectorized import (
     GraphArrays,
     VectorRound,
@@ -85,22 +80,6 @@ def sampling_rounds(n: int, delta: int, config: AlgorithmConfig) -> int:
     base = config.alg2_rounds(n)
     cap = max(4, math.ceil(4.0 * delta**0.1))
     return min(base, cap)
-
-
-def _kernel_signature(program):
-    """What one flat column set needs every node to share."""
-    return (
-        program.delta,
-        program.rounds,
-        program.high_threshold,
-        program.config.alg2_tag_exponent,
-        program.config.alg2_mark_exponent,
-    )
-
-
-_ALG2_SIGNATURE = attrgetter(
-    "delta", "rounds", "tag_probability", "premark_probability"
-)
 
 
 class Phase1Alg2Program(NodeProgram):
@@ -192,29 +171,23 @@ class Phase1Alg2Program(NodeProgram):
         earlier of the two is its one action round (the later one never
         happens: the node is spoiled by then). Lays down the population's
         wakes in one pass."""
-        for template, group in population_groups(
-            network, ranks, _ALG2_SIGNATURE
-        ):
-            streams = network.streams
-            tag = template._first_heads(
-                streams, group, template.tag_probability
-            )
-            premark = template._first_heads(
-                streams, group, template.premark_probability
-            )
-            tag_first = (tag >= 0) & ((premark < 0) | (tag <= premark))
-            action = np.where(tag_first, tag, premark)
-            store_state(network, group, "tag_round",
-                        np.where(tag == action, tag, -1))
-            store_state(network, group, "premark_round",
-                        np.where(premark == action, premark, -1))
-            store_state(network, group, "action_round", action)
-            set_outputs(network, group,
-                        joined=np.zeros(group.size, dtype=bool),
-                        sampled=action >= 0)
-            network._schedule_population(
-                group, action, template.wake_rounds
-            )
+        template = network._template
+        streams = network.streams
+        tag = template._first_heads(streams, ranks, template.tag_probability)
+        premark = template._first_heads(
+            streams, ranks, template.premark_probability
+        )
+        tag_first = (tag >= 0) & ((premark < 0) | (tag <= premark))
+        action = np.where(tag_first, tag, premark)
+        columns = network.state_columns
+        columns["tag_round"][ranks] = np.where(tag == action, tag, -1)
+        columns["premark_round"][ranks] = np.where(
+            premark == action, premark, -1
+        )
+        columns["action_round"][ranks] = action
+        set_outputs(network, ranks, joined=np.zeros(ranks.size, dtype=bool),
+                    sampled=action >= 0)
+        network._schedule_population(ranks, action, template.wake_rounds)
 
     # ------------------------------------------------------------------
     def on_round(self, ctx):
@@ -324,16 +297,8 @@ class Phase1Alg2Program(NodeProgram):
 
     @classmethod
     def vector_round(cls, network):
-        """Engine capability hook: one flat column set per network needs
-        every node to share the iteration parameters (the drivers always
-        build them that way; hand-built heterogeneous networks decline)."""
-        groups = population_groups(
-            network, np.arange(network.graph.number_of_nodes()),
-            _kernel_signature,
-        )
-        if len(groups) > 1:
-            return None
-        return _Phase1Alg2VectorRound(network, groups[0][0])
+        """Engine capability hook: whole-network Lemma 3.1 sub-rounds."""
+        return _Phase1Alg2VectorRound(network, network._template)
 
 
 class _Phase1Alg2VectorRound(VectorRound):

@@ -130,8 +130,8 @@ def run_network_phase(
     over ``graph`` when ``None``).
 
     Builds the :class:`~repro.congest.Network` of ``programs`` (a
-    program factory, or a node -> program mapping) on ``graph`` under
-    ``options``, runs exactly ``rounds`` engine rounds
+    program factory) on ``graph`` under ``options``, runs exactly
+    ``rounds`` engine rounds
     and reads the partition off the ``joined`` outputs: a joiner's
     neighbors are dominated, every other node remains. ``handoff_round`` charges (and
     counts) one trailing round in which every node wakes to exchange its

@@ -1,5 +1,7 @@
 """Tests for the Ghaffari-2016 MIS program (single- and multi-execution)."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,10 @@ class TestShattering:
         assert joined == set()
         assert undecided == set(g.nodes)
         assert network.metrics().max_energy == 0
+        # Every node reports the initial status, read off the template:
+        # the start builds no program.
+        assert network.outputs("status") == dict.fromkeys(g.nodes, (ACTIVE,))
+        assert network.programs.built() == {}
 
     def test_more_iterations_fewer_undecided(self):
         g = graphs.gnp(200, 0.05, seed=2)
@@ -83,13 +89,11 @@ class TestShattering:
 
 class TestParallelExecutions:
     def _run(self, graph, executions, iterations, seed=0):
-        programs = {
-            v: GhaffariProgram(iterations=iterations, executions=executions)
-            for v in graph.nodes
-        }
-        network = Network(graph, programs, seed=seed)
+        make = partial(GhaffariProgram, iterations=iterations,
+                       executions=executions)
+        network = Network(graph, make, seed=seed)
         network.run(max_rounds=10 * iterations + 16)
-        return programs
+        return network.programs
 
     def test_each_execution_is_independent_set(self):
         g = graphs.gnp(40, 0.2, seed=4)
@@ -123,11 +127,8 @@ class TestParallelExecutions:
     def test_bit_vector_messages_fit_budget(self):
         g = graphs.gnp(40, 0.2, seed=7)
         executions = 8
-        programs = {
-            v: GhaffariProgram(iterations=40, executions=executions)
-            for v in g.nodes
-        }
-        network = Network(g, programs, seed=0)
+        make = partial(GhaffariProgram, iterations=40, executions=executions)
+        network = Network(g, make, seed=0)
         network.run(max_rounds=500)
         assert network.max_message_bits <= 3 * executions
 

@@ -1,5 +1,7 @@
 """Unit tests for the pluggable channel layer (congest/channels.py)."""
 
+from functools import partial
+
 import networkx as nx
 import pytest
 
@@ -25,28 +27,36 @@ from oracles import channel_spec
 
 
 class Scripted(NodeProgram):
-    """Transmit per a {round: payload} script; record everything heard."""
+    """Node ``v`` transmits per ``scripts[v]`` (``{round: payload}``) and
+    unicasts per ``unicasts[v]`` (``{round: (receiver, payload)}``);
+    every node records everything it hears."""
 
-    def __init__(self, script=None, unicast=None):
-        self.script = script or {}
-        self.unicast = unicast or {}
+    def __init__(self, scripts=None, unicasts=None):
+        self.scripts = scripts or {}
+        self.unicasts = unicasts or {}
         self.heard = {}
 
     def on_round(self, ctx):
-        if ctx.round in self.script:
-            ctx.broadcast(self.script[ctx.round])
-        if ctx.round in self.unicast:
-            receiver, payload = self.unicast[ctx.round]
+        script = self.scripts.get(ctx.node, {})
+        if ctx.round in script:
+            ctx.broadcast(script[ctx.round])
+        unicast = self.unicasts.get(ctx.node, {})
+        if ctx.round in unicast:
+            receiver, payload = unicast[ctx.round]
             ctx.send(receiver, payload)
 
     def on_receive(self, ctx, messages):
         self.heard[ctx.round] = [(m.sender, m.payload) for m in messages]
 
 
-def _run_rounds(graph, programs, rounds, channel, **kwargs):
-    network = Network(graph, programs, channel=channel, **kwargs)
+def _run_rounds(graph, program, rounds, channel, **kwargs):
+    network = Network(graph, program, channel=channel, **kwargs)
     network.run_rounds(rounds)
     return network
+
+
+def _heard(network, node, round_index=0):
+    return network.programs[node].heard[round_index]
 
 
 class TestMakeChannel:
@@ -76,15 +86,13 @@ class TestLocalChannel:
         """A payload far beyond the CONGEST budget sails through LOCAL."""
         graph = nx.path_graph(2)
         huge = "x" * 10_000  # 80k bits >> B
-        programs = {0: Scripted({0: huge}), 1: Scripted()}
-        network = _run_rounds(graph, programs, 1, "local")
-        assert programs[1].heard[0] == [(0, huge)]
+        program = partial(Scripted, {0: {0: huge}})
+        network = _run_rounds(graph, program, 1, "local")
+        assert _heard(network, 1) == [(0, huge)]
         assert network.total_message_bits == 0  # unpriced by design
 
         with pytest.raises(MessageTooLargeError):
-            _run_rounds(
-                graph, {0: Scripted({0: huge}), 1: Scripted()}, 1, "congest"
-            )
+            _run_rounds(graph, program, 1, "congest")
 
     def test_same_outputs_as_congest(self):
         """LOCAL changes accounting, never delivery: Luby runs identically."""
@@ -104,26 +112,22 @@ class TestLocalChannel:
 class TestBroadcastChannel:
     def test_single_transmission_heard_cleanly(self):
         graph = nx.path_graph(3)  # 0 - 1 - 2
-        programs = {0: Scripted({0: "hi"}), 1: Scripted(), 2: Scripted()}
-        network = _run_rounds(graph, programs, 1, "broadcast")
-        assert programs[1].heard[0] == [(0, "hi")]
-        assert programs[2].heard[0] == []  # not a neighbor of 0
+        program = partial(Scripted, {0: {0: "hi"}})
+        network = _run_rounds(graph, program, 1, "broadcast")
+        assert _heard(network, 1) == [(0, "hi")]
+        assert _heard(network, 2) == []  # not a neighbor of 0
         assert network.messages_sent == 1  # one transmission, not per edge
         assert network.messages_delivered == 1
         assert network.collisions == 0
 
     def test_collision_detected_and_billed(self):
-        graph = nx.path_graph(3)  # 1 and 2 both neighbor node 0? no: star
         graph = nx.star_graph(2)  # center 0, leaves 1 and 2
-        programs = {v: Scripted({0: v} if v else {}) for v in graph.nodes}
-        programs[1].script = {0: "a"}
-        programs[2].script = {0: "b"}
-        programs[0].script = {}
+        program = partial(Scripted, {1: {0: "a"}, 2: {0: "b"}})
         ledger = EnergyLedger(graph.nodes)
         network = _run_rounds(
-            graph, programs, 1, "broadcast", ledger=ledger
+            graph, program, 1, "broadcast", ledger=ledger
         )
-        (sender, payload), = programs[0].heard[0]
+        (sender, payload), = _heard(network, 0)
         assert sender == -1 and payload is COLLISION
         assert network.collisions == 1
         assert network.messages_delivered == 0
@@ -135,39 +139,40 @@ class TestBroadcastChannel:
 
     def test_collision_without_detection_is_silence(self):
         graph = nx.star_graph(2)
-        programs = {0: Scripted(), 1: Scripted({0: "a"}),
-                    2: Scripted({0: "b"})}
+        program = partial(Scripted, {1: {0: "a"}, 2: {0: "b"}})
         ledger = EnergyLedger(graph.nodes)
         network = _run_rounds(
-            graph, programs, 1, "broadcast-no-cd", ledger=ledger
+            graph, program, 1, "broadcast-no-cd", ledger=ledger
         )
-        assert programs[0].heard[0] == []  # can't tell noise from silence
+        assert _heard(network, 0) == []  # can't tell noise from silence
         assert network.collisions == 1  # ...but the medium still collided
         assert ledger.awake_rounds(0) == 2  # and the slot is still wasted
 
     def test_half_duplex_transmitters_hear_nothing(self):
         graph = nx.path_graph(2)
-        programs = {0: Scripted({0: "a"}), 1: Scripted({0: "b"})}
-        network = _run_rounds(graph, programs, 1, "broadcast")
-        assert programs[0].heard[0] == []
-        assert programs[1].heard[0] == []
+        program = partial(Scripted, {0: {0: "a"}, 1: {0: "b"}})
+        network = _run_rounds(graph, program, 1, "broadcast")
+        assert _heard(network, 0) == []
+        assert _heard(network, 1) == []
         assert network.collisions == 0  # nobody was listening
 
     def test_sleeping_nodes_hear_nothing(self):
         class Sleeper(Scripted):
             def on_start(self, ctx):
-                ctx.wake_at(5)
+                if ctx.node == 1:
+                    ctx.wake_at(5)
 
         graph = nx.path_graph(2)
-        programs = {0: Scripted({0: "a"}), 1: Sleeper()}
-        _run_rounds(graph, programs, 2, "broadcast")
-        assert programs[1].heard == {}
+        network = _run_rounds(
+            graph, partial(Sleeper, {0: {0: "a"}}), 2, "broadcast"
+        )
+        assert network.programs[1].heard == {}
 
     def test_unicast_send_rejected(self):
         graph = nx.path_graph(2)
-        programs = {0: Scripted(unicast={0: (1, "x")}), 1: Scripted()}
+        program = partial(Scripted, unicasts={0: {0: (1, "x")}})
         with pytest.raises(ChannelError, match="shared medium"):
-            _run_rounds(graph, programs, 1, "broadcast")
+            _run_rounds(graph, program, 1, "broadcast")
 
     def test_double_transmission_rejected(self):
         class Twice(NodeProgram):
@@ -177,38 +182,36 @@ class TestBroadcastChannel:
 
         graph = nx.path_graph(2)
         with pytest.raises(ChannelError, match="already transmitted"):
-            _run_rounds(graph, {v: Twice() for v in graph}, 1, "broadcast")
+            _run_rounds(graph, Twice, 1, "broadcast")
 
     def test_bit_budget_still_enforced(self):
         graph = nx.path_graph(2)
-        programs = {0: Scripted({0: "x" * 10_000}), 1: Scripted()}
+        program = partial(Scripted, {0: {0: "x" * 10_000}})
         with pytest.raises(MessageTooLargeError):
-            _run_rounds(graph, programs, 1, "broadcast")
+            _run_rounds(graph, program, 1, "broadcast")
 
     def test_metrics_carry_collisions(self):
         graph = nx.star_graph(2)
-        programs = {0: Scripted(), 1: Scripted({0: "a"}),
-                    2: Scripted({0: "b"})}
-        network = _run_rounds(graph, programs, 1, "broadcast")
+        program = partial(Scripted, {1: {0: "a"}, 2: {0: "b"}})
+        network = _run_rounds(graph, program, 1, "broadcast")
         assert network.metrics().collisions == 1
 
 
 class TestInboxView:
     def _delivered_view(self):
         graph = nx.star_graph(3)  # leaves 1..3 all send to center 0
-        programs = {v: Scripted({0: f"p{v}"} if v else {})
-                    for v in graph.nodes}
+        scripts = {v: {0: f"p{v}"} for v in (1, 2, 3)}
 
         captured = {}
 
         class Capture(Scripted):
             def on_receive(self, ctx, messages):
-                captured["inbox"] = messages
+                if ctx.node == 0:
+                    captured["inbox"] = messages
                 super().on_receive(ctx, messages)
 
-        programs[0] = Capture()
-        _run_rounds(graph, programs, 1, "congest")
-        return captured["inbox"], programs[0]
+        network = _run_rounds(graph, partial(Capture, scripts), 1, "congest")
+        return captured["inbox"], network.programs[0]
 
     def test_sequence_protocol(self):
         inbox, center = self._delivered_view()
@@ -224,15 +227,13 @@ class TestInboxView:
         graph = nx.star_graph(2)
         lengths = {}
 
-        class CountOnly(NodeProgram):
+        class CountOnly(Scripted):
             def on_receive(self, ctx, messages):
-                lengths[ctx.node] = len(messages)
+                if ctx.node == 0:
+                    lengths[ctx.node] = len(messages)
 
-        programs = {0: CountOnly(), 1: Scripted({0: "a"}),
-                    2: Scripted({0: "b"})}
-        programs[1].on_receive = lambda ctx, messages: None
-        programs[2].on_receive = lambda ctx, messages: None
-        _run_rounds(graph, programs, 1, "congest")
+        program = partial(CountOnly, {1: {0: "a"}, 2: {0: "b"}})
+        _run_rounds(graph, program, 1, "congest")
         assert lengths[0] == 2
 
 
@@ -277,7 +278,7 @@ class TestStaleViewGuard:
                     ctx.halt()
 
         graph = nx.path_graph(2)
-        _run_rounds(graph, {v: Stasher() for v in graph}, 2, "congest")
+        _run_rounds(graph, Stasher, 2, "congest")
         with pytest.raises(ChannelError, match="recycled"):
             list(stashed["inbox"])
 
@@ -295,7 +296,7 @@ class TestStaleViewGuard:
                     ctx.halt()
 
         graph = nx.path_graph(2)
-        _run_rounds(graph, {v: Copier() for v in graph}, 2, "congest")
+        _run_rounds(graph, Copier, 2, "congest")
         assert [(m.sender, m.payload) for m in copies["inbox"]] == [(1, 0)]
 
 
@@ -352,9 +353,8 @@ class TestBroadcastCollisionAccounting:
     def test_listener_between_two_transmitters(self, channel):
         # Triangle: 1 and 2 transmit, 0 listens and suffers one collision.
         graph = nx.complete_graph(3)
-        programs = {0: Scripted(), 1: Scripted({0: "a"}),
-                    2: Scripted({0: "b"})}
-        network = _run_rounds(graph, programs, 1, channel_spec(channel))
+        program = partial(Scripted, {1: {0: "a"}, 2: {0: "b"}})
+        network = _run_rounds(graph, program, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 1
         assert metrics.messages_sent == 2
@@ -364,16 +364,16 @@ class TestBroadcastCollisionAccounting:
         # (each also has a >= 2-transmitter neighborhood, but half-duplex
         # transmitters cannot waste a listening slot).
         assert network.ledger.snapshot() == {0: 2, 1: 1, 2: 1}
-        assert programs[1].heard[0] == []  # transmitters hear nothing
-        assert programs[2].heard[0] == []
-        assert programs[0].heard[0] == [(-1, COLLISION)]
+        assert _heard(network, 1) == []  # transmitters hear nothing
+        assert _heard(network, 2) == []
+        assert _heard(network, 0) == [(-1, COLLISION)]
 
     @pytest.mark.parametrize("channel", ["broadcast", "broadcast-scalar"])
     def test_all_transmit_no_collision_charges(self, channel):
         # Every node transmits: nobody listens, so no collisions at all.
         graph = nx.complete_graph(3)
-        programs = {v: Scripted({0: f"p{v}"}) for v in graph.nodes}
-        network = _run_rounds(graph, programs, 1, channel_spec(channel))
+        program = partial(Scripted, {v: {0: f"p{v}"} for v in graph.nodes})
+        network = _run_rounds(graph, program, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 0
         assert metrics.messages_sent == 3
@@ -386,17 +386,16 @@ class TestBroadcastCollisionAccounting:
         # Path 0-1-2-3 with 1 and 3 transmitting: 0 hears 1 cleanly, 2
         # collides; per-node billing stays exact.
         graph = nx.path_graph(4)
-        programs = {0: Scripted(), 1: Scripted({0: "x"}),
-                    2: Scripted(), 3: Scripted({0: "y"})}
-        network = _run_rounds(graph, programs, 1, channel_spec(channel))
+        program = partial(Scripted, {1: {0: "x"}, 3: {0: "y"}})
+        network = _run_rounds(graph, program, 1, channel_spec(channel))
         metrics = network.metrics()
         assert metrics.collisions == 1
         assert metrics.messages_sent == 2
         assert metrics.messages_delivered == 1
         assert metrics.messages_dropped == 2
         assert network.ledger.snapshot() == {0: 1, 1: 1, 2: 2, 3: 1}
-        assert programs[0].heard[0] == [(1, "x")]
-        assert programs[2].heard[0] == [(-1, COLLISION)]
+        assert _heard(network, 0) == [(1, "x")]
+        assert _heard(network, 2) == [(-1, COLLISION)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_vectorized_scan_matches_scalar_reference(self, seed):

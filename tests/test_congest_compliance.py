@@ -3,6 +3,7 @@
 individual phases must hold (1-bit marks, K-bit execution vectors,
 O(log n)-bit counters)."""
 
+from functools import partial
 
 from repro import graphs
 from repro.baselines import (
@@ -53,11 +54,8 @@ class TestBudgets:
         n = 1024
         g = graphs.gnp(40, 0.2, seed=6)
         executions = 10  # = log2(1024)
-        programs = {
-            v: GhaffariProgram(iterations=30, executions=executions)
-            for v in g.nodes
-        }
-        network = Network(g, programs, seed=0, size_bound=n)
+        make = partial(GhaffariProgram, iterations=30, executions=executions)
+        network = Network(g, make, seed=0, size_bound=n)
         network.run(max_rounds=400)
         assert network.max_message_bits <= default_bit_budget(n)
         assert network.max_message_bits >= executions  # actually multi-bit

@@ -25,7 +25,7 @@ class TestContextBasics:
                 observed[ctx.node] = (ctx.degree, ctx.neighbors)
                 ctx.halt()
 
-        Network(graph, {v: Inspect() for v in graph.nodes}).run()
+        Network(graph, Inspect).run()
         assert observed[0] == (3, (1, 2, 3))
         assert observed[1] == (1, (0,))
 
@@ -40,7 +40,7 @@ class TestContextBasics:
                 ctx.halt()
 
         graph = graphs.path(2)
-        Network(graph, {v: StartRound() for v in graph.nodes}).run()
+        Network(graph, StartRound).run()
         assert set(seen.values()) == {-1}
 
     def test_output_dict_accessible_after_run(self):
@@ -50,7 +50,7 @@ class TestContextBasics:
                 ctx.halt()
 
         graph = graphs.path(3)
-        network = Network(graph, {v: Writer() for v in graph.nodes})
+        network = Network(graph, Writer)
         network.run()
         assert network.outputs("value") == {0: 0, 1: 2, 2: 4}
 
@@ -60,7 +60,7 @@ class TestContextBasics:
                 ctx.halt()
 
         graph = graphs.path(2)
-        network = Network(graph, {v: Silent() for v in graph.nodes})
+        network = Network(graph, Silent)
         network.run()
         assert network.outputs("missing", default=-1) == {0: -1, 1: -1}
 
@@ -82,7 +82,7 @@ class TestWakeControl:
                     ctx.halt()
 
         graph = graphs.empty_graph(1)
-        network = Network(graph, {0: NapThenWork()})
+        network = Network(graph, NapThenWork)
         network.run()
         assert woke == [3, 4, 5]
 
@@ -95,7 +95,7 @@ class TestWakeControl:
                 ctx.output["at"] = ctx.round
 
         graph = graphs.empty_graph(1)
-        network = Network(graph, {0: OneShot()})
+        network = Network(graph, OneShot)
         network.run()
         assert network.outputs("at")[0] == 2
 
@@ -107,7 +107,7 @@ class TestWakeControl:
                 assert ctx.halted
 
         graph = graphs.empty_graph(1)
-        Network(graph, {0: CheckHalt()}).run()
+        Network(graph, CheckHalt).run()
 
     def test_stay_awake_noop_after_halt(self):
         class HaltThenStay(NodeProgram):
@@ -117,7 +117,7 @@ class TestWakeControl:
 
         graph = graphs.empty_graph(1)
         ledger = EnergyLedger(graph.nodes)
-        network = Network(graph, {0: HaltThenStay()}, ledger=ledger)
+        network = Network(graph, HaltThenStay, ledger=ledger)
         network.run()
         assert ledger.awake_rounds(0) == 1
 
@@ -136,6 +136,6 @@ class TestWakeControl:
 
         graph = graphs.empty_graph(1)
         ledger = EnergyLedger(graph.nodes)
-        network = Network(graph, {0: Chain()}, ledger=ledger)
+        network = Network(graph, Chain, ledger=ledger)
         network.run()
         assert ledger.awake_rounds(0) == 3

@@ -57,12 +57,18 @@ class TestBasicExecution:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            Network(nx.Graph(), {})
+            Network(nx.Graph(), HaltImmediately)
 
-    def test_missing_program_rejected(self):
-        graph = path_graph(2)
-        with pytest.raises(ValueError):
-            Network(graph, {0: HaltImmediately()})
+    @pytest.mark.parametrize(
+        "programs",
+        [{0: HaltImmediately(), 1: HaltImmediately()},
+         [HaltImmediately(), HaltImmediately()],
+         HaltImmediately()],
+        ids=["dict", "list", "instance"],
+    )
+    def test_non_factory_programs_rejected(self, programs):
+        with pytest.raises(TypeError, match="zero-argument program factory"):
+            Network(path_graph(2), programs)
 
 
 class SleepyReceiver(NodeProgram):
@@ -85,14 +91,14 @@ class SleepyReceiver(NodeProgram):
 class TestSleepingSemantics:
     def test_message_to_sleeping_node_is_dropped(self):
         graph = nx.path_graph(2)
-        network = Network(graph, {0: SleepyReceiver(), 1: SleepyReceiver()})
+        network = Network(graph, SleepyReceiver)
         metrics = network.run()
         assert network.outputs("got")[1] in (None, [])
         assert metrics.messages_dropped == 1
 
     def test_sleeping_node_charges_no_energy(self):
         graph = nx.path_graph(2)
-        network = Network(graph, {0: SleepyReceiver(), 1: SleepyReceiver()})
+        network = Network(graph, SleepyReceiver)
         network.run()
         # Node 1 was awake only in its single scheduled round.
         assert network.ledger.awake_rounds(1) == 1
@@ -209,7 +215,7 @@ class TestRunControl:
             pass  # always awake, never halts
 
         graph = path_graph(2)
-        network = Network(graph, {v: Forever() for v in graph})
+        network = Network(graph, Forever)
         with pytest.raises(SimulationLimitError):
             network.run(max_rounds=10)
 
@@ -218,7 +224,7 @@ class TestRunControl:
             pass
 
         graph = path_graph(2)
-        network = Network(graph, {v: Forever() for v in graph})
+        network = Network(graph, Forever)
         metrics = network.run_rounds(5)
         assert metrics.rounds == 5
         assert metrics.max_energy == 5
@@ -241,14 +247,12 @@ class TestRunControl:
     def test_shared_ledger_accumulates_across_networks(self):
         graph = path_graph(2)
         ledger = EnergyLedger(graph.nodes)
-        Network(graph, {v: HaltImmediately() for v in graph}, ledger=ledger).run()
-        Network(graph, {v: HaltImmediately() for v in graph}, ledger=ledger).run()
+        Network(graph, HaltImmediately, ledger=ledger).run()
+        Network(graph, HaltImmediately, ledger=ledger).run()
         assert ledger.max_energy() == 2
 
     def test_size_bound_overrides_budget_base(self):
         graph = path_graph(2)
-        small = Network(graph, {v: HaltImmediately() for v in graph})
-        big = Network(
-            graph, {v: HaltImmediately() for v in graph}, size_bound=2**20
-        )
+        small = Network(graph, HaltImmediately)
+        big = Network(graph, HaltImmediately, size_bound=2**20)
         assert big.bit_budget > small.bit_budget

@@ -1,5 +1,7 @@
 """Tests for engine tracing and sleep diagrams."""
 
+from functools import partial
+
 import networkx as nx
 import pytest
 
@@ -27,19 +29,13 @@ class CountdownProgram(NodeProgram):
 class TestNetworkTrace:
     def _traced_run(self, rounds=4, n=3):
         graph = graphs.path(n)
-        network = Network(
-            graph,
-            {v: CountdownProgram(rounds) for v in graph.nodes},
-            trace=True,
-        )
+        network = Network(graph, partial(CountdownProgram, rounds), trace=True)
         network.run()
         return network
 
     def test_disabled_by_default(self):
         graph = graphs.path(2)
-        network = Network(
-            graph, {v: CountdownProgram(1) for v in graph.nodes}
-        )
+        network = Network(graph, partial(CountdownProgram, 1))
         network.run()
         assert network.trace is None
 
@@ -57,9 +53,7 @@ class TestNetworkTrace:
 
     def test_message_totals(self):
         graph = graphs.gnp(30, 0.15, seed=0)
-        network = Network(
-            graph, {v: LubyProgram() for v in graph.nodes}, trace=True
-        )
+        network = Network(graph, LubyProgram, trace=True)
         network.run()
         totals = network.trace.message_totals()
         assert totals["sent"] == network.messages_sent
@@ -80,9 +74,7 @@ class TestNetworkTrace:
 
     def test_sleep_diagram_empty(self):
         graph = graphs.path(2)
-        network = Network(
-            graph, {v: CountdownProgram(1) for v in graph.nodes}, trace=True
-        )
+        network = Network(graph, partial(CountdownProgram, 1), trace=True)
         assert "no rounds" in network.trace.sleep_diagram([0])
 
     def test_scheduled_sleep_visible(self):
@@ -96,9 +88,7 @@ class TestNetworkTrace:
                     ctx.halt()
 
         graph = graphs.path(2)
-        network = Network(
-            graph, {v: Sleeper() for v in graph.nodes}, trace=True
-        )
+        network = Network(graph, Sleeper, trace=True)
         network.run()
         assert network.trace.wake_rounds_of(1) == [2]
 
@@ -168,9 +158,7 @@ class TestIdleSpanRoundTrip:
 
         def run(engine):
             graph = graphs.path(4)
-            network = Network(
-                graph, {v: Gappy() for v in graph.nodes}, trace=True
-            )
+            network = Network(graph, Gappy, trace=True)
             with engine_path(engine) as path:
                 network.run(engine=path)
             return network.trace
@@ -219,12 +207,11 @@ class TestStaleInboxViewsAcrossFastForward:
     @pytest.mark.parametrize("engine", ["fast", "legacy"])
     def test_view_from_before_idle_stretch_raises(self, engine):
         graph = nx.path_graph(2)
-        programs = {v: self._Stasher() for v in graph.nodes}
-        network = Network(graph, programs)
+        network = Network(graph, self._Stasher)
         with engine_path(engine) as path:
             network.run(engine=path)
         assert network.metrics().rounds == 41
-        for node, program in programs.items():
+        for node, program in network.programs.items():
             assert program.stashed is not None, node
             assert isinstance(program.error, ChannelError), (
                 f"node {node}: stale inbox view survived the idle "
@@ -248,16 +235,12 @@ class TestStaleInboxViewsAcrossFastForward:
                 captured.setdefault(ctx.node, messages)
                 ctx.halt()
 
-        first = Network(
-            graph, {v: CaptureOnce() for v in graph.nodes}, channel=channel
-        )
+        first = Network(graph, CaptureOnce, channel=channel)
         first.run()
         assert set(captured) == {0, 1}
 
         # Same channel instance, fresh network: round serial keeps rising.
-        second = Network(
-            graph, {v: CaptureOnce() for v in graph.nodes}, channel=channel
-        )
+        second = Network(graph, CaptureOnce, channel=channel)
         stale = captured[0]
         with pytest.raises(ChannelError, match="read after its round"):
             list(stale)

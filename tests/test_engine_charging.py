@@ -1,6 +1,8 @@
 """Property tests for the engine's energy charging: the ledger must count
 exactly the rounds each node was awake, no more, no less."""
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +11,15 @@ from repro.congest import EnergyLedger, Network, NodeProgram
 
 
 class ScheduledSleeper(NodeProgram):
-    """Wakes exactly at a preset list of rounds and records each wake."""
+    """Wakes exactly at its node's preset list of rounds
+    (``schedules[node]``) and records each wake."""
 
-    def __init__(self, wake_rounds):
-        self.wake_rounds = sorted(set(wake_rounds))
+    def __init__(self, schedules):
+        self.schedules = schedules
         self.observed = []
 
     def on_start(self, ctx):
+        self.wake_rounds = sorted(set(self.schedules[ctx.node]))
         ctx.use_wake_schedule(self.wake_rounds)
 
     def on_round(self, ctx):
@@ -32,12 +36,12 @@ class ScheduledSleeper(NodeProgram):
 )
 def test_ledger_matches_observed_wakes(schedules):
     graph = graphs.clique(len(schedules))
-    programs = {
-        v: ScheduledSleeper(schedules[v]) for v in graph.nodes
-    }
     ledger = EnergyLedger(graph.nodes)
-    network = Network(graph, programs, ledger=ledger)
+    network = Network(
+        graph, partial(ScheduledSleeper, schedules), ledger=ledger
+    )
     network.run()
+    programs = network.programs
     for v in graph.nodes:
         assert ledger.awake_rounds(v) == len(programs[v].observed)
         assert programs[v].observed == programs[v].wake_rounds
@@ -56,9 +60,7 @@ def test_halting_stops_charging(n, halt_round):
 
     graph = graphs.empty_graph(n)
     ledger = EnergyLedger(graph.nodes)
-    network = Network(
-        graph, {v: HaltAt() for v in graph.nodes}, ledger=ledger
-    )
+    network = Network(graph, HaltAt, ledger=ledger)
     network.run()
     for v in graph.nodes:
         assert ledger.awake_rounds(v) == halt_round + 1
@@ -73,7 +75,7 @@ def test_metrics_round_count_includes_idle_gaps():
             ctx.halt()
 
     graph = graphs.empty_graph(2)
-    network = Network(graph, {v: LateWaker() for v in graph.nodes})
+    network = Network(graph, LateWaker)
     metrics = network.run()
     assert metrics.rounds == 8
     assert metrics.total_energy == 2

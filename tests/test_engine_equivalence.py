@@ -26,6 +26,8 @@ for CONGEST and for LOCAL, proves the shipped loop preserves the seed
 semantics exactly.
 """
 
+from functools import partial
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from repro.congest import (
     reset_vector_stats,
     vector_stats,
 )
+from repro.congest.vectorized import GraphArrays
 from repro.harness import (
     ALGORITHMS,
     VECTOR_CAPABLE_ALGORITHMS,
@@ -257,11 +260,10 @@ class TestStateColumns:
     @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
     def test_kernel_bearing_population_binds_columns(self, program):
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-        make = kernel_programs(graph)[program]
-        programs = {v: make() for v in graph.nodes}
-        schema = type(next(iter(programs.values()))).state_schema()
+        network = Network(graph, kernel_programs(graph)[program], seed=11)
+        programs = network.programs
+        schema = type(network._template).state_schema()
         assert schema, program
-        network = Network(graph, programs, seed=11)
         columns = network.state_columns
         assert columns is not None, program
         assert set(columns) == {field.name for field in schema}
@@ -297,9 +299,7 @@ class TestStateColumns:
         make = kernel_programs(graph)[program]
 
         def fresh():
-            return Network(
-                graph, {v: make() for v in graph.nodes}, seed=11
-            )
+            return Network(graph, make, seed=11)
 
         reference = fresh()
         run_rounds_legacy(reference, cut)
@@ -328,10 +328,7 @@ class TestStateColumns:
         def fresh():
             return Network(
                 graph,
-                {
-                    v: RegularizedLubyProgram(4, 3, 6)
-                    for v in graph.nodes
-                },
+                partial(RegularizedLubyProgram, 4, 3, 6),
                 seed=13,
             )
 
@@ -346,25 +343,23 @@ class TestStateColumns:
         assert hybrid.ledger.snapshot() == reference.ledger.snapshot()
 
 
-class TestConstructionForm:
-    """A uniform population built from a program factory and the same
-    population given as a node -> instance mapping are one construction
-    path: every kernel-bearing class runs bit-identically in both forms,
-    and the factory form builds a node's program and context only when
-    scalar code touches the node."""
+class TestGraphInputForm:
+    """A population on a networkx graph and the same population on its
+    array-native ``GraphArrays`` twin are one simulation: every
+    kernel-bearing class runs bit-identically on both inputs, on every
+    engine path."""
 
     @pytest.mark.parametrize("engine", ["legacy", "fast", "vectorized"])
     @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
-    def test_factory_and_mapping_forms_identical(self, program, engine):
+    def test_networkx_and_array_graphs_identical(self, program, engine):
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
         make = kernel_programs(graph)[program]
         runs = {}
-        for form in ("factory", "mapping"):
-            population = (
-                make if form == "factory"
-                else {v: make() for v in graph.nodes}
-            )
-            network = Network(graph, population, seed=11, trace=True)
+        for form, source in (
+            ("networkx", graph),
+            ("arrays", GraphArrays.from_graph(graph)),
+        ):
+            network = Network(source, make, seed=11, trace=True)
             with engine_path(engine) as path:
                 metrics = network.run(engine=path)
             runs[form] = (
@@ -377,7 +372,23 @@ class TestConstructionForm:
             )
             if engine == "vectorized":
                 assert network.vector_rounds > 0, form
-        assert runs["factory"] == runs["mapping"]
+        assert runs["networkx"] == runs["arrays"]
+
+
+class TestLazyPerNodeObjects:
+    """A network builds a node's program and context only when scalar
+    code touches the node."""
+
+    @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
+    def test_vectorized_run_builds_no_per_node_objects(self, program):
+        """Every kernel runs a whole network from round 0 to the end on
+        state columns alone: no program, no Context."""
+        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
+        network = Network(graph, kernel_programs(graph)[program], seed=11)
+        network.run(engine="vectorized")
+        assert network.vector_rounds > 0
+        assert network.programs.built() == {}
+        assert network.contexts.built() == {}
 
     def test_vectorized_luby_builds_no_per_node_objects(self, monkeypatch):
         """An array-native Luby run on the vectorized engine builds no
@@ -441,10 +452,7 @@ class TestScheduleAwareKernels:
         delta = max_degree(graph)
         return Network(
             graph,
-            {
-                v: Phase1Alg1Program(4, 8, delta, 10.0)
-                for v in graph.nodes
-            },
+            partial(Phase1Alg1Program, 4, 8, delta, 10.0),
             seed=11,
             trace=trace,
         )
@@ -457,10 +465,7 @@ class TestScheduleAwareKernels:
         delta = max(2, max_degree(graph))
         return Network(
             graph,
-            {
-                v: Phase1Alg2Program(delta, 6, DEFAULT_CONFIG)
-                for v in graph.nodes
-            },
+            partial(Phase1Alg2Program, delta, 6, DEFAULT_CONFIG),
             seed=11,
             trace=trace,
         )
@@ -532,10 +537,7 @@ class TestScheduleAwareKernels:
         def fresh():
             return Network(
                 graph,
-                {
-                    v: GhaffariProgram(iterations=10, executions=3)
-                    for v in graph.nodes
-                },
+                partial(GhaffariProgram, iterations=10, executions=3),
                 seed=13,
             )
 
@@ -566,42 +568,6 @@ def test_forced_vectorized_ignores_small_graph_floor():
     assert forced.metrics == reference.metrics
 
 
-def test_heterogeneous_program_parameters_decline_vectorization():
-    """One flat schedule column cannot represent per-node parameters; the
-    capability factory must decline so auto mode stays scalar (and stays
-    bit-identical) instead of silently applying node 0's schedule."""
-    from repro.baselines import RegularizedLubyProgram
-
-    graph = graphs.make_family("gnp_log_degree", N, seed=5)
-
-    def make(mixed):
-        return Network(
-            graph,
-            {
-                v: RegularizedLubyProgram(
-                    4, 6, delta=(3 + (i % 2) if mixed else 3)
-                )
-                for i, v in enumerate(sorted(graph.nodes))
-            },
-            seed=5,
-        )
-
-    reset_vector_stats()
-    network = make(mixed=True)
-    network.run()
-    assert network.vector_rounds == 0  # declined, ran scalar
-    with pytest.raises(VectorizationError, match="declined"):
-        make(mixed=True).run(engine="vectorized")
-    legacy = make(mixed=True)
-    run_legacy(legacy)
-    assert network.outputs("in_mis") == legacy.outputs("in_mis")
-    assert network.metrics() == legacy.metrics()
-    # Homogeneous parameters still vectorize.
-    uniform = make(mixed=False)
-    uniform.run()
-    assert uniform.vector_rounds > 0
-
-
 class SchemalessFlooder(NodeProgram):
     """Declares a vectorized-round factory but no ``state_schema()``: the
     network binds no state columns, so no kernel could load its state."""
@@ -624,9 +590,7 @@ def test_program_without_state_schema_declines_vectorization():
     graph = graphs.make_family("gnp_log_degree", N, seed=5)
 
     def make():
-        return Network(
-            graph, {v: SchemalessFlooder() for v in graph.nodes}, seed=5
-        )
+        return Network(graph, SchemalessFlooder, seed=5)
 
     assert make().state_columns is None
     with pytest.raises(VectorizationError, match="state_schema"):
@@ -647,9 +611,7 @@ def test_vectorized_truncation_resumes_scalar_bit_identically(cut):
     graph = graphs.make_family("gnp_log_degree", 96, seed=3)
 
     def fresh():
-        return Network(
-            graph, {v: LubyProgram() for v in graph.nodes}, seed=7
-        )
+        return Network(graph, LubyProgram, seed=7)
 
     reference = fresh()
     run_legacy(reference)
@@ -692,7 +654,7 @@ class TestScheduledWorkloads:
         ledger = EnergyLedger(graph.nodes)
         network = Network(
             graph,
-            {v: GappySleeper() for v in graph.nodes},
+            GappySleeper,
             seed=3,
             ledger=ledger,
             trace=True,
@@ -750,7 +712,7 @@ def test_pruned_halt_schedules_agree_with_pending_work():
 
     graph = nx.path_graph(3)
     for engine in ("fast", "legacy"):
-        network = Network(graph, {v: ScheduleThenHalt() for v in graph.nodes})
+        network = Network(graph, ScheduleThenHalt)
         with engine_path(engine) as path:
             metrics = network.run(max_rounds=10_000, engine=path)
         assert metrics.rounds == 2  # not 500_001, and no limit error

@@ -86,10 +86,7 @@ def test_faulty_run_terminates_deterministically(algorithm, channel, engine):
 def _kernel_trace(program, channel):
     graph = make_family("gnp_log_degree", 96, seed=3)
     make = kernel_programs(graph)[program]
-    network = Network(
-        graph, {v: make() for v in graph.nodes}, seed=11, channel=channel,
-        trace=True,
-    )
+    network = Network(graph, make, seed=11, channel=channel, trace=True)
     network.run(engine="vectorized")
     assert network.vector_rounds > 0, program
     return {record.round_index: record for record in network.trace.records}
@@ -120,7 +117,7 @@ def test_every_kernel_matches_scalar_under_total_loss(program):
     runs = {}
     for engine in ("fast", "vectorized"):
         network = Network(
-            graph, {v: make() for v in graph.nodes}, seed=11,
+            graph, make, seed=11,
             channel="lossy(drop=1.0,seed=3):congest",
         )
         metrics = network.run(engine=engine)
@@ -171,7 +168,7 @@ def test_every_kernel_drops_every_copy_on_fully_lost_rounds(program, parity):
     runs = {}
     for engine in ("fast", "vectorized"):
         network = Network(
-            graph, {v: make() for v in graph.nodes}, seed=11,
+            graph, make, seed=11,
             channel=_ParityLoss("congest", parity=parity), trace=True,
         )
         metrics = network.run(engine=engine)

@@ -155,10 +155,7 @@ class _SleepyProgram(NodeProgram):
 
 def _sleepy_rounds(events, run):
     graph = nx.path_graph(3)
-    network = Network(
-        graph, {v: _SleepyProgram() for v in graph.nodes}, seed=1,
-        faults=FaultPlan(events),
-    )
+    network = Network(graph, _SleepyProgram, seed=1, faults=FaultPlan(events))
     return run(network).rounds
 
 

@@ -1,5 +1,6 @@
 """White-box tests of the Ghaffari-2016 desire-level mechanics."""
 
+from functools import partial
 
 from repro import graphs
 from repro.baselines import ACTIVE, JOINED, REMOVED, GhaffariProgram
@@ -7,13 +8,12 @@ from repro.congest import Network
 
 
 def run(graph, iterations, executions=1, seed=0):
-    programs = {
-        v: GhaffariProgram(iterations=iterations, executions=executions)
-        for v in graph.nodes
-    }
-    network = Network(graph, programs, seed=seed)
+    make = partial(
+        GhaffariProgram, iterations=iterations, executions=executions
+    )
+    network = Network(graph, make, seed=seed)
     network.run(max_rounds=10 * iterations + 20)
-    return programs, network
+    return network.programs, network
 
 
 class TestDesireDynamics:

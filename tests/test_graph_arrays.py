@@ -185,7 +185,7 @@ class TestLabelledNetworks:
 
     def test_neighbors_are_labels(self):
         arrays = GraphArrays.from_graph(nx.path_graph([10, 20, 30, 40, 50]))
-        network = Network(arrays, {v: LubyProgram() for v in arrays.nodes})
+        network = Network(arrays, LubyProgram)
         assert network._neighbors_of(20) == (10, 30)
         assert network._neighbors_of(10) == (20,)
 

@@ -38,13 +38,13 @@ class TestRunner:
 
 
 class _ProgramRecorder(Instrument):
-    """Collects the program classes of every network a run builds."""
+    """Collects the program class of every network a run builds."""
 
     def __init__(self):
         self.classes = set()
 
     def on_run_start(self, network):
-        self.classes |= {type(p) for p in network.programs.values()}
+        self.classes.add(type(network._template))
 
 
 #: ``dense`` is dense enough that Phase I runs for algorithm1/algorithm2

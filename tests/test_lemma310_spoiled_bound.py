@@ -5,6 +5,8 @@ the bound is what keeps the residual degree at ``8·Δ^0.6`` after the final
 sweep removes the high-degree independent set.
 """
 
+from functools import partial
+
 import pytest
 
 from repro import graphs
@@ -16,13 +18,10 @@ from repro.core.phase1_alg2 import Phase1Alg2Program, sampling_rounds
 def run_programs(graph, delta, seed=0):
     n = graph.number_of_nodes()
     rounds = sampling_rounds(n, delta, DEFAULT_CONFIG)
-    programs = {
-        v: Phase1Alg2Program(delta, rounds, DEFAULT_CONFIG)
-        for v in graph.nodes
-    }
-    network = Network(graph, programs, seed=seed, size_bound=n)
+    make = partial(Phase1Alg2Program, delta, rounds, DEFAULT_CONFIG)
+    network = Network(graph, make, seed=seed, size_bound=n)
     network.run_rounds(4 * rounds + 4)
-    return programs
+    return network.programs
 
 
 class TestSpoiledNeighborBound:

@@ -75,7 +75,7 @@ def test_interleaved_draws_equal_an_all_scalar_sequence():
 
 def test_network_contexts_and_kernel_draws_share_counters():
     graph = nx.path_graph(6)
-    network = Network(graph, {v: LubyProgram() for v in graph}, seed=9)
+    network = Network(graph, LubyProgram, seed=9)
     twin = NodeStreams(9, 6)
     ctx = network.contexts[4]
     assert ctx.rng.random() == NodeRandom(twin, 4).random()
@@ -100,7 +100,7 @@ def test_negative_seed_raises_like_seed_sequence():
         NodeStreams(-1, 4)
     graph = nx.path_graph(3)
     with pytest.raises(ValueError):
-        Network(graph, {v: LubyProgram() for v in graph}, seed=-1)
+        Network(graph, LubyProgram, seed=-1)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.01])
@@ -154,6 +154,6 @@ def test_building_a_network_never_spawns_generators(monkeypatch):
         raise AssertionError("np.random.default_rng called")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    network = Network(graph, {v: LubyProgram() for v in graph}, seed=1)
+    network = Network(graph, LubyProgram, seed=1)
     network.run()
     assert network.vector_rounds > 0

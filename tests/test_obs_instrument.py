@@ -29,14 +29,12 @@ class TestResolution:
 
     def test_network_caches_observed_flag(self):
         graph = graphs.path(3)
-        plain = Network(graph, {v: LubyProgram() for v in graph.nodes})
+        plain = Network(graph, LubyProgram)
         assert plain.instrument is NULL_INSTRUMENT
         assert not plain._observed
 
         rec = RecordingInstrument()
-        observed = Network(
-            graph, {v: LubyProgram() for v in graph.nodes}, instrument=rec
-        )
+        observed = Network(graph, LubyProgram, instrument=rec)
         assert observed.instrument is rec
         assert observed._observed
 
@@ -131,12 +129,7 @@ class TestEventStream:
         """on_round awake counts must agree with the NetworkTrace."""
         rec = RecordingInstrument()
         graph = nx.gnp_random_graph(40, 0.15, seed=2)
-        network = Network(
-            graph,
-            {v: LubyProgram() for v in graph.nodes},
-            trace=True,
-            instrument=rec,
-        )
+        network = Network(graph, LubyProgram, trace=True, instrument=rec)
         network.run()
         counts = [awake for kind, _, awake in rec.of_kind("round")]
         assert counts == [c for c in network.trace.awake_counts() if c]

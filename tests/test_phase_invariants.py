@@ -18,6 +18,7 @@ sum over all its networks, also under a lossy channel.
 """
 
 import math
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -40,13 +41,10 @@ class TestPhase1Invariants:
         iterations = DEFAULT_CONFIG.phase1_iterations(n, delta)
         rounds = DEFAULT_CONFIG.phase1_rounds_per_iteration(n)
         assert iterations >= 1, "test graph too sparse to exercise Phase I"
-        programs = {
-            v: Phase1Alg1Program(iterations, rounds, delta, 10.0)
-            for v in graph.nodes
-        }
-        network = Network(graph, programs, seed=0)
+        make = partial(Phase1Alg1Program, iterations, rounds, delta, 10.0)
+        network = Network(graph, make, seed=0)
         network.run_rounds(3 * iterations * rounds)
-        return programs, iterations
+        return network.programs, iterations
 
     def test_invariant_a_sampled_neighbors_bounded(self):
         """A(T)'s observable form: per node, O(iterations · log n) sampled

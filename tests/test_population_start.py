@@ -10,12 +10,14 @@ lazily; the engine tests at the bottom pin that a run still ends where
 the step-every-round oracle ends.
 """
 
+from functools import partial
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro import graphs
-from repro.congest import Network, NodeProgram
+from repro.congest import Network
 from repro.congest.errors import SchedulingError
 from repro.core.average_energy import Lemma42Program
 from repro.core.config import DEFAULT_CONFIG
@@ -33,42 +35,32 @@ CLASSES = {
 
 
 def _factories(graph):
-    """Per class, ``rank -> program``: budgets that sample a good share of
+    """Per class, a program factory: budgets that sample a good share of
     nodes at test sizes (the default config gives zero Phase I
     iterations there)."""
     n = graph.number_of_nodes()
     delta = max(2, max_degree(graph))
     return {
-        "Phase1Alg1Program": lambda rank: Phase1Alg1Program(4, 8, delta, 10.0),
-        "Lemma42Program": lambda rank: Lemma42Program(
-            3, 4, delta, DEFAULT_CONFIG, n
+        "Phase1Alg1Program": partial(Phase1Alg1Program, 4, 8, delta, 10.0),
+        "Lemma42Program": partial(
+            Lemma42Program, 3, 4, delta, DEFAULT_CONFIG, n
         ),
-        "Phase1Alg2Program": lambda rank: Phase1Alg2Program(
-            delta, 6, DEFAULT_CONFIG
+        "Phase1Alg2Program": partial(
+            Phase1Alg2Program, delta, 6, DEFAULT_CONFIG
         ),
     }
 
 
-def _mixed_phase1(rank):
-    """Phase I programs whose tuning parameters vary by rank: four
-    signatures, including one that marks with probability 1 at once
-    (no draws) and one whose budget has no rounds at all."""
-    return [
-        Phase1Alg1Program(4, 8, 12, 10.0),
-        Phase1Alg1Program(3, 5, 7, 2.0),
-        Phase1Alg1Program(2, 6, 1, 0.5),
-        Phase1Alg1Program(0, 6, 5, 10.0),
-    ][rank % 4]
-
-
-class _Bystander(NodeProgram):
-    """A second program class: makes the population mixed, so no state
-    columns bind and the start hook writes instance attributes."""
-
-    def on_start(self, ctx):
-        ctx.output["bystander"] = True
-        ctx.wake_at(2)
-
+#: Phase I tuning parameters ``(iterations, rounds_per_iteration, delta,
+#: mark_divisor)`` at the edges of the sampler: a fixed Δ, a steep
+#: divisor, a marker that fires with probability 1 in the first round (no
+#: draws at all) and a budget with no rounds.
+PHASE1_EDGE_CASES = {
+    "fixed-delta": (4, 8, 12, 10.0),
+    "steep": (3, 5, 7, 2.0),
+    "p=1": (2, 6, 1, 0.5),
+    "no-rounds": (0, 6, 5, 10.0),
+}
 
 GRAPHS = {
     "gnp-40": lambda: graphs.make_family("gnp_log_degree", 40, seed=3),
@@ -111,13 +103,11 @@ def _state(network):
 
 
 def _started(graph, make, cls):
-    """Two networks over fresh programs from ``make(rank)``, started by
-    the population hook and by the per-node oracle."""
-    order = sorted(graph.nodes)
+    """Two networks of the program factory ``make``, started by the
+    population hook and by the per-node oracle."""
     states = []
     for reference in (False, True):
-        programs = {node: make(rank) for rank, node in enumerate(order)}
-        network = Network(graph, programs, seed=7)
+        network = Network(graph, make, seed=7)
         if reference:
             with per_node_start(cls):
                 network.start()
@@ -142,39 +132,28 @@ def test_population_start_matches_per_node_start(program, graph_name):
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_mixed_phase1_parameters_match_per_node_start(graph_name):
+@pytest.mark.parametrize("case", sorted(PHASE1_EDGE_CASES))
+def test_phase1_edge_parameters_match_per_node_start(case, graph_name):
+    make = partial(Phase1Alg1Program, *PHASE1_EDGE_CASES[case])
     graph = GRAPHS[graph_name]()
-    population, reference = _started(graph, _mixed_phase1, Phase1Alg1Program)
+    population, reference = _started(graph, make, Phase1Alg1Program)
     assert population == reference
-    marked = np.frombuffer(
-        population["columns"]["marked_round"], dtype=np.int64
-    )
-    # Several signatures sampled someone, so the groups really differ.
-    assert len({rank % 4 for rank in np.flatnonzero(marked >= 0)}) >= 2
-
-
-@pytest.mark.parametrize("program", sorted(CLASSES))
-def test_mixed_class_population_matches_per_node_start(program):
-    """With a second program class in the network no columns bind; the
-    population start then writes plain instance attributes."""
-    graph = GRAPHS["gnp-150"]()
-    make = _factories(graph)[program]
-    cls = CLASSES[program]
-
-    def mixed(rank):
-        return _Bystander() if rank % 5 == 0 else make(rank)
-
-    population, reference = _started(graph, mixed, cls)
-    assert population["columns"] is None
-    assert population == reference
+    sampled = [output["sampled"] for output in population["outputs"]]
+    if case == "p=1":
+        # Everyone marks in round 0 without drawing.
+        assert all(sampled)
+        assert not any(population["counters"])
+    elif case == "no-rounds":
+        assert not any(sampled)
+        assert not population["calendar"]
+    else:
+        assert any(sampled)
 
 
 def test_past_round_raises_scheduling_error():
     graph = graphs.make_family("gnp_log_degree", 40, seed=3)
-    network = Network(
-        graph, {v: Phase1Alg1Program(4, 8, 5, 10.0) for v in graph.nodes},
-        seed=7,
-    )
+    make = partial(Phase1Alg1Program, 4, 8, 5, 10.0)
+    network = Network(graph, make, seed=7)
     network.start()
     network.run_rounds(3)
     ranks = np.array([0, 1])
@@ -191,7 +170,7 @@ def _halting_runs(graph, make):
     runs = {}
     last_wake = None
     for engine in ("legacy", "fast", "vectorized"):
-        network = Network(graph, {v: make() for v in graph.nodes}, seed=11)
+        network = Network(graph, make, seed=11)
         network.start()
         last_wake = max(network._wake_calendar)
         with engine_path(engine) as path:

@@ -8,7 +8,9 @@ widths), kernel engagement (state a hook added, the ``vector_round``
 factory's return value) and the
 channel's inbox views (a stored view read after its round). The last
 test pins that a node's ``Context`` is one object for the network's
-lifetime, so a program that keeps it sees nothing recycled.
+lifetime, so a program that keeps it sees nothing recycled. The
+allocation and engagement checks run on a networkx graph and on its
+array-native ``GraphArrays`` twin.
 """
 
 from dataclasses import replace
@@ -26,7 +28,7 @@ from repro.congest import (
     StateField,
     VectorizationError,
 )
-from repro.congest.vectorized import VectorRound
+from repro.congest.vectorized import GraphArrays, VectorRound
 
 from kernel_programs import KERNEL_PROGRAMS, kernel_programs
 
@@ -36,8 +38,13 @@ def graph():
     return graphs.make_family("gnp_log_degree", 96, seed=3)
 
 
-def _population(cls, graph, form):
-    return cls if form == "factory" else {v: cls() for v in graph.nodes}
+#: The two graph inputs a ``Network`` takes: the networkx graph and its
+#: array-native ``GraphArrays`` twin, which builds no networkx object.
+GRAPH_FORMS = ["networkx", "arrays"]
+
+
+def _graph_input(graph, form):
+    return graph if form == "networkx" else GraphArrays.from_graph(graph)
 
 
 class DeferredLuby(LubyProgram):
@@ -104,7 +111,7 @@ def test_default_the_dtype_holds_is_accepted(dtype, default):
     assert StateField("sentinel", dtype, default=default).default is default
 
 
-@pytest.mark.parametrize("form", ["factory", "mapping"])
+@pytest.mark.parametrize("form", GRAPH_FORMS)
 def test_width_naming_a_missing_attribute_names_class_and_field(graph, form):
     class RenamedWidth(GhaffariProgram):
         @classmethod
@@ -117,11 +124,11 @@ def test_width_naming_a_missing_attribute_names_class_and_field(graph, form):
     with pytest.raises(
         AttributeError, match="RenamedWidth field 'status'.*'execs'"
     ):
-        Network(graph, _population(RenamedWidth, graph, form), seed=1)
+        Network(_graph_input(graph, form), RenamedWidth, seed=1)
 
 
 @pytest.mark.parametrize("engine", ["auto", "vectorized"])
-@pytest.mark.parametrize("form", ["factory", "mapping"])
+@pytest.mark.parametrize("form", GRAPH_FORMS)
 @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
 def test_every_kernel_reengages_after_scalar_rounds(
     graph, program, form, engine
@@ -132,7 +139,7 @@ def test_every_kernel_reengages_after_scalar_rounds(
     make = kernel_programs(graph)[program]
 
     def fresh():
-        return Network(graph, _population(make, graph, form), seed=11)
+        return Network(_graph_input(graph, form), make, seed=11)
 
     reference = fresh()
     reference.run(engine="fast")
@@ -145,14 +152,14 @@ def test_every_kernel_reengages_after_scalar_rounds(
 
 
 @pytest.mark.parametrize("engine", ["auto", "vectorized"])
-@pytest.mark.parametrize("form", ["factory", "mapping"])
+@pytest.mark.parametrize("form", GRAPH_FORMS)
 @pytest.mark.parametrize("program", KERNEL_PROGRAMS)
 def test_every_kernel_refuses_hook_added_state(
     graph, program, form, engine, monkeypatch
 ):
     make = kernel_programs(graph)[program]
     _with_scratch_hook(monkeypatch, _kernel_class(program, graph))
-    network = Network(graph, _population(make, graph, form), seed=11)
+    network = Network(_graph_input(graph, form), make, seed=11)
     network.run_rounds(3, engine="fast")
     assert any("scratch" in vars(p) for p in network.programs.built().values())
     with pytest.raises(VectorizationError, match=r"\['scratch'\]"):
@@ -169,7 +176,7 @@ def test_vector_round_returning_a_non_kernel_is_refused(
         _kernel_class(program, graph), "vector_round",
         classmethod(lambda cls, network: object()),
     )
-    network = Network(graph, {v: make() for v in graph.nodes}, seed=1)
+    network = Network(graph, make, seed=1)
     with pytest.raises(VectorizationError, match="not a VectorRound"):
         network.run(engine=engine)
 
@@ -199,7 +206,7 @@ def test_a_node_sees_one_context_for_the_network_lifetime(
         on_round(self, ctx)
 
     monkeypatch.setattr(cls, "on_round", keeping_on_round)
-    network = Network(graph, {v: make() for v in graph.nodes}, seed=11)
+    network = Network(graph, make, seed=11)
     network.run(engine="fast")
     assert max(map(len, seen.values())) > 3
     for node, contexts in seen.items():

@@ -1,6 +1,8 @@
 """Cross-check: the engine-observed wake rounds of Phase I participants
 must be exactly the rounds their Lemma 2.5 schedule dictates."""
 
+from functools import partial
+
 from repro import graphs
 from repro.congest import Network
 from repro.core.config import DEFAULT_CONFIG
@@ -18,15 +20,12 @@ def test_phase1_wakes_match_schedule():
     assert iterations >= 1
     total = iterations * rounds
 
-    programs = {
-        v: Phase1Alg1Program(iterations, rounds, delta, 10.0)
-        for v in graph.nodes
-    }
-    network = Network(graph, programs, seed=0, trace=True)
+    make = partial(Phase1Alg1Program, iterations, rounds, delta, 10.0)
+    network = Network(graph, make, seed=0, trace=True)
     network.run_rounds(3 * total)
 
     checked = 0
-    for node, program in programs.items():
+    for node, program in network.programs.items():
         observed = network.trace.wake_rounds_of(node)
         if program.marked_round < 0:
             assert observed == []
@@ -52,11 +51,8 @@ def test_phase1_energy_equals_wake_count():
     delta = max_degree(graph)
     iterations = DEFAULT_CONFIG.phase1_iterations(n, delta)
     rounds = DEFAULT_CONFIG.phase1_rounds_per_iteration(n)
-    programs = {
-        v: Phase1Alg1Program(iterations, rounds, delta, 10.0)
-        for v in graph.nodes
-    }
-    network = Network(graph, programs, seed=0, trace=True)
+    make = partial(Phase1Alg1Program, iterations, rounds, delta, 10.0)
+    network = Network(graph, make, seed=0, trace=True)
     network.run_rounds(3 * iterations * rounds)
     for node in graph.nodes:
         assert network.ledger.awake_rounds(node) == len(

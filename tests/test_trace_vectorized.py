@@ -19,9 +19,7 @@ PROGRAMS = {
 
 def _traced_network(make_program, n=80, p=0.08, seed=21):
     graph = nx.gnp_random_graph(n, p, seed=seed)
-    return Network(
-        graph, {v: make_program() for v in graph.nodes}, trace=True
-    )
+    return Network(graph, make_program, trace=True)
 
 
 def _views(network):
